@@ -9,7 +9,10 @@ All four form matrices are indexed by the colex-ordered size-m subsets of
     psi        -> m(n-m) - (m+1)(n-m+1)(m-j)/(m-j+1)
 
 The forms are real symmetric, so real-spectrum PSD checking decides
-semidefiniteness of the associated Hermitian forms.
+semidefiniteness of the associated Hermitian forms.  A form is stored as
+(n, m, kind): its eigenvalues are exact sums of the overlap weights
+against Eberlein polynomials, and dense entries exist only for export,
+quadratic evaluation and test oracles.
 """
 
 from __future__ import annotations
@@ -22,10 +25,10 @@ import numpy as np
 
 from .errors import InputError
 from .linalg import (
+    _colex_masks,
     as_matrix,
     enumerate_subsets,
     principal_minors_all,
-    subset_masks,
     sym_eigenvalues,
 )
 
@@ -33,21 +36,82 @@ FORM_KINDS = ("phi", "tilde_phi", "tilde_psi", "psi")
 FORM_DIMENSION_CAP = 5000
 
 
+def _weight(n: int, m: int, kind: str, j, one):
+    """f(j) for overlap j, in the arithmetic of ``one`` (1.0 for floats, Fraction(1) exact)."""
+    if kind == "phi":
+        return j * one
+    if kind == "tilde_phi":
+        return (m - j + 1) * one
+    if kind == "tilde_psi":
+        return one / (m - j + 1)
+    return m * (n - m) - (m + 1) * (n - m + 1) * (m - j) / (m - j + one)
+
+
+def _lowest_overlap(n: int, m: int) -> int:
+    """Smallest |alpha & beta| that occurs between two size-m subsets of {1..n}."""
+    return max(0, 2 * m - n)
+
+
+def _eberlein(n: int, m: int, d: int, i: int) -> int:
+    """Eigenvalue on eigenspace i of the distance-d graph of the Johnson scheme J(n, m)."""
+    return sum((-1) ** h * math.comb(i, h) * math.comb(m - i, d - h)
+               * math.comb(n - m - i, d - h) for h in range(min(i, d) + 1))
+
+
+def _theta(n: int, m: int, kind: str, i: int) -> Fraction:
+    """Exact eigenvalue sum_j f(j) E_{m-j}(i) of a form on Johnson eigenspace i."""
+    return sum((_weight(n, m, kind, j, Fraction(1)) * _eberlein(n, m, m - j, i)
+                for j in range(_lowest_overlap(n, m), m + 1)), Fraction(0))
+
+
 @dataclass(frozen=True)
 class FormMatrix:
+    """Form with entries f(|alpha & beta|) on the colex size-m subsets of {1..n}.
+
+    Every such matrix lies in the Bose-Mesner algebra of the Johnson scheme
+    J(n, m), so the m+1 overlap weights determine it and its spectrum is
+    closed-form (Delsarte 1973).  Dense entries are built only on access.
+    """
+
     n: int
     m: int
     kind: str
-    entries: np.ndarray   # C(n,m) x C(n,m), symmetric
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return math.comb(self.n, self.m)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Float weights f(0), ..., f(m); overlaps below max(0, 2m-n) never occur."""
+        return _weight(self.n, self.m, self.kind, np.arange(self.m + 1), 1.0)
+
+    @property
+    def eigenvalues(self) -> list[Fraction]:
+        """Exact eigenvalues theta_i of the rational form, i = 0..min(m, n-m).
+
+        Eigenspace i has multiplicity C(n, i) - C(n, i-1); i = 0 is spanned
+        by the all-ones vector, so theta_0 is the common row sum.
+        """
+        return [_theta(self.n, self.m, self.kind, i)
+                for i in range(min(self.m, self.n - self.m) + 1)]
+
+    @property
+    def entries(self) -> np.ndarray:
+        """Dense C(n,m) x C(n,m) symmetric matrix, materialized on each access."""
+        return self.weights[_overlaps(self.n, self.m)]
 
 
 def overlap_matrix(n: int, m: int) -> np.ndarray:
     """Integer matrix of pairwise subset intersection sizes, colex order."""
-    masks = subset_masks(n, m)
+    return _overlaps(n, m)
+
+
+def _overlaps(n: int, m: int) -> np.ndarray:
+    # Reading FormMatrix.entries must call no public function: the span
+    # tracer in bench/tracing.py reads it from a count hook that holds the
+    # tracer's non-reentrant lock, so a traced call from there deadlocks.
+    masks = _colex_masks(n, m)
     return np.bitwise_count(masks[:, None] & masks[None, :]).astype(np.int64)
 
 
@@ -67,23 +131,22 @@ def build_form(n: int, m: int, kind: str, override_cap: bool = False) -> FormMat
     if kind not in FORM_KINDS:
         raise InputError(f"unknown form kind {kind!r}; expected one of {FORM_KINDS}")
     _check_form_params(n, m, override_cap)
-    j = overlap_matrix(n, m)
-    if kind == "phi":
-        entries = j.astype(float)
-    elif kind == "tilde_phi":
-        entries = (m - j + 1).astype(float)
-    elif kind == "tilde_psi":
-        entries = 1.0 / (m - j + 1)
-    else:
-        entries = m * (n - m) - (m + 1) * (n - m + 1) * (m - j) / (m - j + 1.0)
-    return FormMatrix(n, m, kind, entries)
+    return FormMatrix(n, m, kind)
 
 
 def psd_check(form, tol: float = 1e-8) -> tuple[bool, float]:
-    """(is_psd, min_eigenvalue), with threshold ``-tol * maxabs(entries)``."""
-    entries = form.entries if isinstance(form, FormMatrix) else as_matrix(form)
-    min_eig = float(sym_eigenvalues(entries)[0])
-    maxabs = float(np.max(np.abs(entries)))
+    """(is_psd, min_eigenvalue), with threshold ``-tol * maxabs(entries)``.
+
+    A :class:`FormMatrix` is judged by its exact minimum Johnson-scheme
+    eigenvalue; any other symmetric matrix by a dense eigen-solve.
+    """
+    if isinstance(form, FormMatrix):
+        min_eig = float(min(form.eigenvalues))
+        maxabs = float(np.max(np.abs(form.weights[_lowest_overlap(form.n, form.m):])))
+    else:
+        entries = as_matrix(form)
+        min_eig = float(sym_eigenvalues(entries)[0])
+        maxabs = float(np.max(np.abs(entries)))
     return min_eig >= -tol * maxabs, min_eig
 
 
@@ -106,7 +169,7 @@ def minor_vector(a, m: int) -> np.ndarray:
 class StructureReport:
     n: int
     m: int
-    gramian_exact: bool        # phi == V V^T entrywise
+    gramian_exact: bool        # phi == V V^T, as equal exact spectra
     complement_exact: bool     # tilde_phi + phi == (m+1) * ones entrywise
     reciprocal_max_dev: float  # tilde_psi vs entrywise 1 / tilde_phi
     affine_max_dev: float      # psi vs (m+1)(n-m+1) tilde_psi - (n+1) * ones
@@ -122,16 +185,21 @@ def structure_checks(n: int, m: int, tol: float = 1e-10,
     multiple of ones) are required exactly; the floating relations must
     hold within ``tol`` and the all-ones vector must annihilate psi within
     ``tol * maxabs(psi)``.
+
+    The entrywise relations are checked on the float weights of the
+    overlaps that occur, which gives the same values as checking every
+    entry.  Forms in the Johnson scheme are equal exactly when their
+    eigenvalues are, so phi == V V^T is checked against the spectrum of
+    V^T V (diagonal C(n-1,m-1), off-diagonal C(n-2,m-2)): theta_0 = m
+    C(n-1,m-1), theta_1 = C(n-2,m-1) and 0 beyond.  psi @ e = theta_0(psi) e.
     """
     _check_form_params(n, m, override_cap)
-    j = overlap_matrix(n, m)
-    v = incidence_matrix(n, m)
-    gramian_exact = bool(np.array_equal(v @ v.T, j))
+    lo = _lowest_overlap(n, m)
+    phi, tilde_phi, tilde_psi, psi = (FormMatrix(n, m, kind).weights[lo:] for kind in FORM_KINDS)
 
-    phi = build_form(n, m, "phi", override_cap).entries
-    tilde_phi = build_form(n, m, "tilde_phi", override_cap).entries
-    tilde_psi = build_form(n, m, "tilde_psi", override_cap).entries
-    psi = build_form(n, m, "psi", override_cap).entries
+    gramian = [m * math.comb(n - 1, m - 1), math.comb(n - 2, m - 1)]
+    gramian += [0] * (min(m, n - m) - 1)
+    gramian_exact = FormMatrix(n, m, "phi").eigenvalues == gramian
 
     complement_exact = bool(np.array_equal(tilde_phi + phi,
                                            float(m + 1) * np.ones_like(phi)))
@@ -139,7 +207,7 @@ def structure_checks(n: int, m: int, tol: float = 1e-10,
     affine = (m + 1) * (n - m + 1) * tilde_psi - (n + 1) * np.ones_like(psi)
     affine_max_dev = float(np.max(np.abs(psi - affine)))
     psi_scale = float(np.max(np.abs(psi))) or 1.0
-    null_vector_max = float(np.max(np.abs(psi @ np.ones(psi.shape[0])))) / psi_scale
+    null_vector_max = float(abs(_theta(n, m, "psi", 0))) / psi_scale
 
     ok = (gramian_exact and complement_exact
           and reciprocal_max_dev <= tol
@@ -155,16 +223,13 @@ def binomial_identity_sum(n: int, m: int) -> Fraction:
 
     ``sum_j (m(n-m) - (m+1)(n-m+1)(m-j)/(m-j+1)) C(m,j) C(n-m,m-j)``
     evaluated in big-integer rational arithmetic; conformant output is
-    exactly zero for every 1 <= m <= n-1.
+    exactly zero for every 1 <= m <= n-1.  It is the row sum theta_0 of
+    psi, since E_{m-j}(0) = C(m,j) C(n-m,m-j) counts the subsets at
+    overlap j from a fixed one.
     """
     if not 1 <= m <= n - 1:
         raise InputError(f"need 1 <= m <= n-1, got m = {m} with n = {n}")
-    total = Fraction(0)
-    for j in range(m + 1):
-        weight = (Fraction(m * (n - m))
-                  - Fraction((m + 1) * (n - m + 1) * (m - j), m - j + 1))
-        total += weight * math.comb(m, j) * math.comb(n - m, m - j)
-    return total
+    return _theta(n, m, "psi", 0)
 
 
 def quadratic_apply(form: FormMatrix, t) -> float:

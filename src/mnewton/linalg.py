@@ -120,10 +120,32 @@ def enumerate_subsets(n: int, m: int) -> list[tuple[int, ...]]:
 
 def subset_masks(n: int, m: int) -> np.ndarray:
     """Bitmask encodings (bit i-1 for element i) of enumerate_subsets(n, m)."""
+    return _colex_masks(n, m)
+
+
+def _colex_masks(n: int, m: int) -> np.ndarray:
+    """Kernel of :func:`subset_masks`, kept private for ``FormMatrix.entries``.
+
+    Colex order is increasing-bitmask order, so by Pascal's rule the
+    size-r masks over {1..k} are those over {1..k-1} followed by the
+    size-(r-1) ones with bit k-1 set.  Sizes that can no longer reach m
+    are dropped as k grows.
+    """
     if n > 64:
         raise InputError("bitmask subset encoding supports n <= 64")
-    masks = [sum(1 << (i - 1) for i in s) for s in enumerate_subsets(n, m)]
-    return np.array(masks, dtype=np.uint64)
+    if n < 0 or m < 0:
+        raise InputError("subset parameters must be nonnegative")
+    if m > n:
+        raise InputError(f"cannot choose {m} elements from {n}")
+    empty = np.zeros(0, dtype=np.uint64)
+    by_size = [np.zeros(1, dtype=np.uint64)] + [empty] * m
+    for k in range(1, n + 1):
+        bit = np.uint64(1 << (k - 1))
+        lo = max(0, m - (n - k))
+        by_size = [empty] * lo + [
+            np.concatenate((by_size[r], by_size[r - 1] | bit)) if r else by_size[0]
+            for r in range(lo, m + 1)]
+    return by_size[m]
 
 
 def minor_sums(a) -> np.ndarray:

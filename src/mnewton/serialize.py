@@ -19,7 +19,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .errors import InputError
-from .forms import FormMatrix
+from .forms import FormMatrix, overlap_matrix
 from .linalg import as_matrix
 from .mclass import GeneratorSpec
 
@@ -113,16 +113,20 @@ def generator_spec_from_dict(d) -> GeneratorSpec:
     return GeneratorSpec(kind=kind, n=n, seed=seed, margin=margin)
 
 
+def _by_overlap(form: FormMatrix, cells: list) -> list:
+    """Rows of the dense form with entry (a, b) = cells[|alpha_a & alpha_b|]."""
+    return np.array(cells, dtype=object)[overlap_matrix(form.n, form.m)].tolist()
+
+
 def form_to_dict(form: FormMatrix) -> dict:
     return {"n": form.n, "m": form.m, "kind": form.kind,
-            "entries": [[float(x) for x in row] for row in form.entries]}
+            "entries": _by_overlap(form, [float(w) for w in form.weights])}
 
 
 def form_to_csv(form: FormMatrix, path) -> None:
+    rows = _by_overlap(form, [repr(float(w)) for w in form.weights])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for row in form.entries:
-            writer.writerow([repr(float(x)) for x in row])
+        csv.writer(fh).writerows(rows)
 
 
 def jsonable(obj):

@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -66,6 +68,45 @@ def test_psd_check_psi_2_1():
     assert min_eig == pytest.approx(0.0, abs=1e-12)
 
 
+def test_eigenvalues_match_dense_spectrum():
+    # eigenspace i has multiplicity C(n,i) - C(n,i-1); m > n/2 stops at i = n - m
+    for n in range(2, 11):
+        for m in range(1, n):
+            for kind in FORM_KINDS:
+                f = build_form(n, m, kind)
+                theta = f.eigenvalues
+                assert len(theta) == min(m, n - m) + 1
+                spectrum = sorted(float(t) for i, t in enumerate(theta)
+                                  for _ in range(math.comb(n, i) - math.comb(n, i - 1)
+                                                 if i else 1))
+                dense = np.linalg.eigvalsh(f.entries)
+                scale = float(np.max(np.abs(dense)))
+                assert np.max(np.abs(np.array(spectrum) - dense)) <= 1e-9 * scale, (n, m, kind)
+
+
+def test_psd_check_psi_60_30_exact_without_entries():
+    # C(60,30) ~ 1.2e17: only the Johnson-scheme route can decide this
+    tracemalloc.start()
+    try:
+        result = psd_check(build_form(60, 30, "psi", override_cap=True))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (True, 0.0)
+    assert peak < 10 * 2**20
+
+
+def test_psd_check_threshold_uses_occurring_overlaps():
+    # tilde_phi on 3-subsets of {1..4} is 2J - I: overlaps 2 and 3 give
+    # weights 2 and 1, while the weight f(0) = 4 belongs to no entry
+    f = build_form(4, 3, "tilde_phi")
+    ok, min_eig = psd_check(f)
+    assert not ok and min_eig == -1.0
+    for factor in (0.9, 1.1):
+        tol = factor * 0.5
+        assert psd_check(f, tol)[0] == psd_check(f.entries, tol)[0] == (factor > 1)
+
+
 def test_psd_check_all_kinds_small_orders():
     for n in range(2, 9):
         for m in range(1, n):
@@ -119,6 +160,42 @@ def test_structure_checks_sweep():
     for n in range(2, 9):
         for m in range(1, n):
             assert structure_checks(n, m).ok, (n, m)
+
+
+def _dense_structure(n, m, tol=1e-10):
+    """Entrywise structure relations on the dense matrices (the reference route)."""
+    j = overlap_matrix(n, m)
+    v = incidence_matrix(n, m)
+    phi, tilde_phi, tilde_psi, psi = (build_form(n, m, kind).entries for kind in FORM_KINDS)
+    gramian_exact = bool(np.array_equal(v @ v.T, j)) and bool(np.array_equal(v @ v.T, phi))
+    complement_exact = bool(np.array_equal(tilde_phi + phi, float(m + 1) * np.ones_like(phi)))
+    reciprocal_max_dev = float(np.max(np.abs(tilde_psi - 1.0 / tilde_phi)))
+    affine = (m + 1) * (n - m + 1) * tilde_psi - (n + 1) * np.ones_like(psi)
+    affine_max_dev = float(np.max(np.abs(psi - affine)))
+    psi_scale = float(np.max(np.abs(psi))) or 1.0
+    null_vector_max = float(np.max(np.abs(psi @ np.ones(psi.shape[0])))) / psi_scale
+    ok = (gramian_exact and complement_exact and reciprocal_max_dev <= tol
+          and affine_max_dev <= tol * psi_scale and null_vector_max <= tol)
+    return dict(n=n, m=m, gramian_exact=gramian_exact, complement_exact=complement_exact,
+                reciprocal_max_dev=reciprocal_max_dev, affine_max_dev=affine_max_dev,
+                null_vector_max=null_vector_max, ok=ok)
+
+
+def test_structure_checks_match_dense_route():
+    for n in range(2, 9):
+        for m in range(1, n):
+            got = structure_checks(n, m).__dict__
+            want = _dense_structure(n, m)
+            assert got["null_vector_max"] == 0.0
+            del got["null_vector_max"], want["null_vector_max"]
+            assert got == want, (n, m)
+
+
+def test_incidence_gramian_is_overlap_matrix():
+    for n in range(1, 9):
+        for m in range(n + 1):
+            v = incidence_matrix(n, m)
+            assert np.array_equal(v @ v.T, overlap_matrix(n, m)), (n, m)
 
 
 def test_incidence_gramian_3_2():

@@ -161,6 +161,22 @@ def test_subset_masks_match_subsets():
         assert int(mask) == sum(1 << (i - 1) for i in s)
 
 
+def test_subset_masks_match_enumeration_up_to_fourteen():
+    for n in range(15):
+        for m in range(n + 1):
+            want = np.array([sum(1 << (i - 1) for i in s) for s in enumerate_subsets(n, m)],
+                            dtype=np.uint64)
+            got = subset_masks(n, m)
+            assert got.dtype == np.uint64 and np.array_equal(got, want), (n, m)
+
+
+def test_subset_masks_validation():
+    assert subset_masks(64, 1)[-1] == np.uint64(1 << 63)
+    for n, m in ((65, 1), (3, 4), (3, -1)):
+        with pytest.raises(InputError):
+            subset_masks(n, m)
+
+
 def test_sym_eigenvalues_examples():
     assert np.allclose(sym_eigenvalues(np.eye(3)), [1, 1, 1])
     assert np.allclose(sym_eigenvalues([[1.0, -1.0], [-1.0, 1.0]]), [0, 2], atol=1e-12)

@@ -1,10 +1,11 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from mnewton.errors import InputError
-from mnewton.forms import build_form
+from mnewton.forms import FORM_KINDS, build_form
 from mnewton.serialize import (
     dumps_report,
     form_to_csv,
@@ -81,6 +82,25 @@ def test_form_exports(tmp_path):
     rows = path.read_text().strip().splitlines()
     assert len(rows) == 3
     assert [float(x) for x in rows[0].split(",")] == d["entries"][0]
+
+
+def test_form_exports_match_per_entry_writers(tmp_path):
+    # reference: one repr / float per dense entry, as csv.writer and json see them
+    for n in range(2, 9):
+        for m in range(1, n):
+            for kind in FORM_KINDS:
+                form = build_form(n, m, kind)
+                ref_csv, got_csv = tmp_path / "ref.csv", tmp_path / "got.csv"
+                with open(ref_csv, "w", newline="", encoding="utf-8") as fh:
+                    writer = csv.writer(fh)
+                    for row in form.entries:
+                        writer.writerow([repr(float(x)) for x in row])
+                form_to_csv(form, got_csv)
+                assert got_csv.read_bytes() == ref_csv.read_bytes(), (n, m, kind)
+                ref = {"n": n, "m": m, "kind": kind,
+                       "entries": [[float(x) for x in row] for row in form.entries]}
+                assert dumps_report(form_to_dict(form)) == dumps_report(ref), (n, m, kind)
+    assert b"\r\n" in got_csv.read_bytes()
 
 
 def test_load_json_malformed(tmp_path):
