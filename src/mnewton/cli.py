@@ -160,7 +160,7 @@ def _cmd_sfunc(args):
             "ratio_margin": ratio.margin, "ratio_holds": ratio.holds,
             "pointwise_margin": point.margin, "pointwise_holds": point.holds,
         })
-        key = ratio.margin / ratio.scale
+        key = ratio.margin / ratio.scale if ratio.scale else 0.0
         if worst is None or key < worst[0]:
             worst = (key, m, k)
     holds = all(c["ratio_holds"] and c["pointwise_holds"] for c in checks)

@@ -36,12 +36,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def identity(n: int) -> np.ndarray:
-    if n < 1:
-        raise InputError("matrix order must be >= 1")
-    return np.eye(n)
-
-
 def determinant(a) -> float:
     """Determinant by row-pivoted triangular elimination.
 

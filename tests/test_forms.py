@@ -242,10 +242,10 @@ def test_quadratic_apply_nonnegative_on_random_vectors():
 
 
 def test_quadratic_apply_matches_pair_sum_expansion():
-    # t = minor vector: the form value is the overlap-weighted pair-sum total
+    # t = minor vector: the form value is the overlap-weighted pair-sum total,
+    # so the dense form route and the moment route of the profile check each other
     rng = np.random.default_rng(31)
-    for _ in range(10):
-        n = int(rng.integers(2, 7))
+    for n in [*range(2, 13)] * 2:
         a = rng.uniform(-1, 1, (n, n))
         sums = MinorPairSums(a)
         for m in range(1, n):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,39 @@ from mnewton.pairsums import (
     pointwise_check,
     ratio_check,
 )
+
+
+def dense_profile(sums, m1, m2):
+    """Oracle: every (alpha, beta) subset pair, reduced in bitmask blocks by overlap."""
+    va, vb = sums.minors(m1), sums.minors(m2)
+    ma, mb = subset_masks(sums.n, m1), subset_masks(sums.n, m2)
+    out = np.zeros(min(m1, m2) + 1)
+    step = max(1, (1 << 16) // vb.size)
+    for lo in range(0, va.size, step):
+        inter = np.bitwise_count(ma[lo:lo + step, None] & mb[None, :]).astype(np.intp)
+        w = va[lo:lo + step, None] * vb[None, :]
+        out += np.bincount(inter.ravel(), weights=w.ravel(), minlength=out.size)
+    return out
+
+
+def exact_profile(sums, m1, m2):
+    """Oracle: the overlap profile of the float minors, summed in exact rationals."""
+    va = [Fraction(float(x)) for x in sums.minors(m1)]
+    vb = [Fraction(float(y)) for y in sums.minors(m2)]
+    ma, mb = subset_masks(sums.n, m1), subset_masks(sums.n, m2)
+    out = [Fraction(0)] * (min(m1, m2) + 1)
+    for x, a in zip(va, ma):
+        for y, b in zip(vb, mb):
+            out[int(a & b).bit_count()] += x * y
+    return out
+
+
+def oracle_matrices(n, seed):
+    """One M, one inverse-M and one signed uniform(-1, 1) matrix of order n."""
+    signed = np.random.default_rng(seed).uniform(-1, 1, (n, n))
+    return {"M": generate(GeneratorSpec("M", n, seed)),
+            "inverse-M": generate(GeneratorSpec("inverse-M", n, seed)),
+            "signed": signed}
 
 
 def brute_force_pair_count(n, m1, m2, k):
@@ -236,3 +270,86 @@ def test_feasible_pair_params_edges():
     assert not feasible_pair_params(4, 5, 1, 0)
     assert not feasible_pair_params(4, 2, 2, 3)
     assert not feasible_pair_params(4, -1, 2, 0)
+
+
+def test_profile_matches_dense_route():
+    # The moment route rounds in the moments S_t, and the alternating
+    # binomial inversion amplifies that by up to ~3^m.  Measured at these
+    # inputs: 6.6e-15 * sum|x| sum|y| absolute, and 4.4e-13 relative per
+    # entry for M and inverse-M (positive minors, so every P_k > 0).
+    for n in range(2, 13):
+        for kind, a in oracle_matrices(n, 40 + n).items():
+            sums = MinorPairSums(a)
+            for m1 in range(n + 1):
+                for m2 in range(n + 1):
+                    got, ref = sums.profile(m1, m2), dense_profile(sums, m1, m2)
+                    scale = np.abs(sums.minors(m1)).sum() * np.abs(sums.minors(m2)).sum()
+                    assert np.all(np.abs(got - ref) <= 1e-13 * scale), (kind, n, m1, m2)
+                    if kind != "signed":
+                        assert np.all(np.abs(got - ref) <= 1e-11 * np.abs(ref)), \
+                            (kind, n, m1, m2)
+
+
+def test_profile_matches_exact_enumeration():
+    # Against exact rationals of the same float minors the moment route
+    # stays within 16 eps * sum|x| sum|y| (measured: 4.5 eps).
+    for n in range(1, 8):
+        for kind, a in oracle_matrices(n, 70 + n).items():
+            sums = MinorPairSums(a)
+            for m1 in range(n + 1):
+                for m2 in range(n + 1):
+                    bound = Fraction(16 * np.finfo(float).eps * np.abs(sums.minors(m1)).sum()
+                                     * np.abs(sums.minors(m2)).sum())
+                    for got, exact in zip(sums.profile(m1, m2), exact_profile(sums, m1, m2)):
+                        assert abs(Fraction(float(got)) - exact) <= bound, \
+                            (kind, n, m1, m2)
+
+
+def test_profile_infeasible_overlaps_exactly_zero():
+    for n in (5, 8, 11):
+        sums = MinorPairSums(oracle_matrices(n, n)["signed"])
+        for m1 in range(n + 1):
+            for m2 in range(n + 1):
+                prof = sums.profile(m1, m2)
+                for k in range(min(m1, m2) + 1):
+                    if not feasible_pair_params(n, m1, m2, k):
+                        assert prof[k] == 0.0, (n, m1, m2, k)
+
+
+def test_profile_overflow_is_an_input_error():
+    sums = MinorPairSums(1e200 * np.eye(3))
+    with np.errstate(over="ignore"), pytest.raises(InputError):
+        sums.profile(2, 2)
+
+
+def test_split_checks_hold_at_n16():
+    for kind in ("M", "inverse-M"):
+        a = generate(GeneratorSpec(kind, 16, 5))
+        sums = MinorPairSums(a)
+        for m, k in feasible_ratio_params(16):
+            assert ratio_check(a, m, k, sums=sums).holds, (kind, m, k)
+            assert pointwise_check(a, m, k, sums=sums).holds, (kind, m, k)
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-5, 1e-150])
+def test_split_checks_fail_scaled_violator(s):
+    # (1, 1)-split margin is -s^2 against a scale of 2 s^2: a 50 % violation
+    a = s * np.array([[1.0, 1.0], [-1.0, 1.0]])
+    assert not ratio_check(a, 1, 0).holds
+    assert not pointwise_check(a, 1, 0).holds
+
+
+def test_split_verdicts_invariant_under_scaling():
+    # scale-free margins (margin / scale lies in [-2, 2]) move only by round-off
+    mats = [generate(GeneratorSpec("M", 5 + seed % 4, seed)) for seed in range(6)]
+    mats.append(np.array([[1.0, 1.0], [-1.0, 1.0]]))
+    for a in mats:
+        n = a.shape[0]
+        b = 2.0 ** -40 * a
+        sums, scaled = MinorPairSums(a), MinorPairSums(b)
+        for m, k in feasible_ratio_params(n):
+            for check in (ratio_check, pointwise_check):
+                r0, r1 = check(a, m, k, sums=sums), check(b, m, k, sums=scaled)
+                assert r0.holds == r1.holds, (check.__name__, n, m, k)
+                assert r1.margin / r1.scale == pytest.approx(r0.margin / r0.scale, abs=1e-12), \
+                    (check.__name__, n, m, k)
