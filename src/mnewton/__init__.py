@@ -14,7 +14,6 @@ from .forms import (
     FormMatrix,
     binomial_identity_sum,
     build_form,
-    minor_vector,
     psd_check,
     quadratic_apply,
     structure_checks,
@@ -88,7 +87,6 @@ __all__ = [
     "minor_pair_sum",
     "minor_sums",
     "minor_sums_exhaustive",
-    "minor_vector",
     "moment_condition",
     "moments",
     "newton_check",

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 from . import charcoeff, forms, mclass, niep, pairsums, serialize
@@ -97,12 +97,7 @@ def _cmd_classify(args):
         "command": "classify",
         "n": int(a.shape[0]),
         "tol": args.tol,
-        "is_z": rep.is_z,
-        "is_p": rep.is_p,
-        "m_class": rep.m_class,
-        "is_inverse_m": rep.is_inverse_m,
-        "witnesses": [[list(alpha), value] for alpha, value in rep.witnesses],
-        "z_violations": [[list(ij), value] for ij, value in rep.z_violations],
+        **asdict(rep),
     }
 
 
@@ -116,8 +111,7 @@ def _coeffs_from_args(args):
 
 def _cmd_coeffs(args):
     c = _coeffs_from_args(args)
-    return True, {"command": "coeffs", "n": int(c.size - 1),
-                  "coeffs": [float(x) for x in c]}
+    return True, {"command": "coeffs", "n": int(c.size - 1), "coeffs": c}
 
 
 def _cmd_newton(args):
@@ -127,10 +121,8 @@ def _cmd_newton(args):
         "command": "newton",
         "n": int(c.size - 1),
         "tol": args.tol,
-        "coeffs": [float(x) for x in c],
-        "margins": [float(x) for x in rep.margins],
-        "holds": rep.holds,
-        "worst_j": rep.worst_j,
+        "coeffs": c,
+        **asdict(rep),
     }
 
 
@@ -192,14 +184,7 @@ def _cmd_forms(args):
         "dim": form.dim,
         "is_psd": is_psd,
         "min_eigenvalue": min_eig,
-        "structure": {
-            "gramian_exact": structure.gramian_exact,
-            "complement_exact": structure.complement_exact,
-            "reciprocal_max_dev": structure.reciprocal_max_dev,
-            "affine_max_dev": structure.affine_max_dev,
-            "null_vector_max": structure.null_vector_max,
-            "ok": structure.ok,
-        },
+        "structure": structure,
     }
 
 
@@ -232,12 +217,8 @@ def _cmd_niep_screen(args):
         files = sorted(f for f in path.iterdir() if f.suffix == ".json")
         if not files:
             raise InputError(f"no .json spectra found in {path}")
-        def one(f):
-            rep = _screen_report(niep.screen(_load_spectrum(str(f)), **kwargs))
-            rep["file"] = f.name
-            return rep
-        with ThreadPoolExecutor() as pool:
-            reports = list(pool.map(one, files))
+        reports = [{**_screen_report(niep.screen(_load_spectrum(str(f)), **kwargs)),
+                    "file": f.name} for f in files]
         ok = all(r["all_pass"] for r in reports)
         return ok, {"command": "niep-screen", "reports": reports, "all_pass": ok}
     rep = _screen_report(niep.screen(_load_spectrum(str(path)), **kwargs))
@@ -301,10 +282,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         ok, report = _HANDLERS[args.command](args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (GenerationError, ConstructionError) as exc:
+    except (InputError, GenerationError, ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.format == "json":

@@ -28,7 +28,7 @@ from .linalg import (
     _colex_masks,
     as_matrix,
     enumerate_subsets,
-    principal_minors_all,
+    principal_minors_all,  # noqa: F401  (bench/tests checks that the tracer patches it here)
     sym_eigenvalues,
 )
 
@@ -160,15 +160,8 @@ def incidence_matrix(n: int, m: int) -> np.ndarray:
     return v
 
 
-def minor_vector(a, m: int) -> np.ndarray:
-    """Vector of all size-m principal minors of ``a`` in the colex basis order."""
-    return principal_minors_all(a, m)
-
-
 @dataclass(frozen=True)
 class StructureReport:
-    n: int
-    m: int
     gramian_exact: bool        # phi == V V^T, as equal exact spectra
     complement_exact: bool     # tilde_phi + phi == (m+1) * ones entrywise
     reciprocal_max_dev: float  # tilde_psi vs entrywise 1 / tilde_phi
@@ -213,7 +206,7 @@ def structure_checks(n: int, m: int, tol: float = 1e-10,
           and reciprocal_max_dev <= tol
           and affine_max_dev <= tol * psi_scale
           and null_vector_max <= tol)
-    return StructureReport(n, m, gramian_exact, complement_exact,
+    return StructureReport(gramian_exact, complement_exact,
                            reciprocal_max_dev, affine_max_dev,
                            null_vector_max, ok)
 
@@ -235,7 +228,7 @@ def binomial_identity_sum(n: int, m: int) -> Fraction:
 def quadratic_apply(form: FormMatrix, t) -> float:
     """Evaluate the quadratic form t^T F t in the colex basis.
 
-    With ``t = minor_vector(A, m)`` and the psi kind this is the quantity
+    With ``t = principal_minors_all(A, m)`` and the psi kind this is the quantity
     whose nonnegativity forces the corresponding Newton margin.
     """
     vec = np.asarray(t, dtype=float).ravel()

@@ -17,7 +17,6 @@ from .errors import GenerationError, InputError
 from .linalg import (
     as_matrix,
     determinant,
-    dual_index_set,
     enumerate_subsets,
     principal_minors_all,
 )
@@ -69,13 +68,10 @@ class GeneratorSpec:
 
 
 def _z_violations(a: np.ndarray, tol: float) -> list:
-    viol = []
-    n = a.shape[0]
-    for i in range(n):
-        for j in range(n):
-            if i != j and a[i, j] > tol:
-                viol.append(((i + 1, j + 1), float(a[i, j])))
-    return viol
+    """Positive off-diagonal entries as ((i, j), a_ij), 1-based, in row-major order."""
+    positive = a > tol
+    np.fill_diagonal(positive, False)
+    return [((int(i) + 1, int(j) + 1), float(a[i, j])) for i, j in np.argwhere(positive)]
 
 
 def _leading_minors(a: np.ndarray) -> list[float]:
@@ -213,7 +209,11 @@ def dual_minor_identity_check(a, tol: float = 1e-8) -> bool:
 
     Holds for every nonsingular matrix; checked exhaustively, so the order
     is capped at ``DUAL_CHECK_MAX_N``.  Returns True iff the worst relative
-    deviation is within ``tol``.
+    deviation is within ``tol``; a non-finite deviation (overflow in the
+    minors or the determinant) raises InputError.
+
+    Complementing a bitmask reverses colex order, so the complements of the
+    size-m subsets, in order, are the size-(n-m) subsets in reverse.
     """
     mat = as_matrix(a)
     n = mat.shape[0]
@@ -226,10 +226,10 @@ def dual_minor_identity_check(a, tol: float = 1e-8) -> bool:
     worst = 0.0
     for m in range(n + 1):
         lhs = principal_minors_all(inv, m)
-        rhs_all = principal_minors_all(mat, n - m)
-        rank = {s: i for i, s in enumerate(enumerate_subsets(n, n - m))}
-        for i, alpha in enumerate(enumerate_subsets(n, m)):
-            rhs = rhs_all[rank[dual_index_set(alpha, n)]] / det
-            dev = abs(lhs[i] - rhs) / max(1.0, abs(lhs[i]), abs(rhs))
-            worst = max(worst, dev)
+        rhs = principal_minors_all(mat, n - m)[::-1] / det
+        dev = np.abs(lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+        if not np.all(np.isfinite(dev)):
+            raise InputError(
+                "dual minor check: non-finite deviation (minor or determinant overflow)")
+        worst = max(worst, float(np.max(dev)))
     return worst <= tol

@@ -23,8 +23,6 @@ NOT_APPLICABLE = "not-applicable"
 DEFAULT_MOMENT_K = 20
 DEFAULT_JLL_BOUND = 30
 
-CONDITION_NAMES = ("moments", "jll", "newton_shift", "laffey_meehan")
-
 
 def moments(values, k_max: int) -> np.ndarray:
     """Power sums s_1..s_K of a conjugation-closed spectrum (real parts)."""
@@ -42,10 +40,6 @@ class ConditionResult:
     margin: float | None
     witness: object = None
     note: str = ""
-
-    @property
-    def passed(self) -> bool:
-        return self.status == PASS
 
 
 def moment_condition(values, k_max: int = DEFAULT_MOMENT_K,

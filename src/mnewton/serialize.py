@@ -2,7 +2,6 @@
 
 Wire formats:
   matrix      {"n": int, "rows": [[...], ...]}           row-major reals
-  polynomial  {"coeffs": [c_d, ..., c_0]}                 descending powers
   spectrum    {"values": [[re, im], ...]}                 bare reals also accepted
   generator   {"kind": str, "n": int, "seed": int, "margin": real}
   form        {"n": int, "m": int, "kind": str, "entries": [[...], ...]}
@@ -94,13 +93,6 @@ def spectrum_from_dict(d) -> np.ndarray:
 def spectrum_to_dict(values) -> dict:
     vals = np.asarray(values, dtype=complex).ravel()
     return {"values": [[float(v.real), float(v.imag)] for v in vals]}
-
-
-def poly_from_dict(d) -> np.ndarray:
-    coeffs = _require(d, "coeffs")
-    if not isinstance(coeffs, list) or len(coeffs) < 2:
-        raise InputError("field 'coeffs' must list at least two descending-power coefficients")
-    return np.array([_as_real(c, f"coeffs[{i}]") for i, c in enumerate(coeffs)])
 
 
 def generator_spec_from_dict(d) -> GeneratorSpec:

@@ -132,12 +132,18 @@ def test_niep_screen_directory_batch(capsys, tmp_path):
     batch.mkdir()
     write_json(batch / "b_pass.json", {"values": [1.0, 0.5]})
     write_json(batch / "a_fail.json", {"values": [3.0, 3.0, -2.0, -2.0, -2.0]})
+    write_json(batch / "c_complex.json", {"values": [[2.0, 0.0], [-0.5, 0.5], [-0.5, -0.5]]})
     code, out, _ = run(capsys, ["niep-screen", "--spectrum", str(batch)])
     assert code == EXIT_VIOLATION
     rep = json.loads(out)
     names = [r["file"] for r in rep["reports"]]
-    assert names == sorted(names)
+    assert names == ["a_fail.json", "b_pass.json", "c_complex.json"]
     assert rep["all_pass"] is False
+    for entry, name in zip(rep["reports"], names):
+        _, single_out, _ = run(capsys, ["niep-screen", "--spectrum", str(batch / name)])
+        single = json.loads(single_out)
+        assert single.pop("command") == "niep-screen"
+        assert entry == {**single, "file": name}
 
 
 def test_gen_pipes_into_classify(capsys, tmp_path):

@@ -12,13 +12,12 @@ from mnewton.forms import (
     binomial_identity_sum,
     build_form,
     incidence_matrix,
-    minor_vector,
     overlap_matrix,
     psd_check,
     quadratic_apply,
     structure_checks,
 )
-from mnewton.linalg import sym_eigenvalues
+from mnewton.linalg import principal_minors_all, sym_eigenvalues
 from mnewton.mclass import GeneratorSpec, generate
 from mnewton.pairsums import MinorPairSums
 
@@ -176,7 +175,7 @@ def _dense_structure(n, m, tol=1e-10):
     null_vector_max = float(np.max(np.abs(psi @ np.ones(psi.shape[0])))) / psi_scale
     ok = (gramian_exact and complement_exact and reciprocal_max_dev <= tol
           and affine_max_dev <= tol * psi_scale and null_vector_max <= tol)
-    return dict(n=n, m=m, gramian_exact=gramian_exact, complement_exact=complement_exact,
+    return dict(gramian_exact=gramian_exact, complement_exact=complement_exact,
                 reciprocal_max_dev=reciprocal_max_dev, affine_max_dev=affine_max_dev,
                 null_vector_max=null_vector_max, ok=ok)
 
@@ -223,7 +222,7 @@ def test_binomial_identity_small_sweep():
 def test_quadratic_apply_examples():
     f = build_form(2, 1, "psi")
     assert quadratic_apply(f, np.ones(2)) == pytest.approx(0.0, abs=1e-12)
-    assert quadratic_apply(f, minor_vector(np.diag([1.0, 2.0]), 1)) == pytest.approx(1.0)
+    assert quadratic_apply(f, principal_minors_all(np.diag([1.0, 2.0]), 1)) == pytest.approx(1.0)
     with pytest.raises(InputError):
         quadratic_apply(f, np.ones(3))
 
@@ -250,7 +249,7 @@ def test_quadratic_apply_matches_pair_sum_expansion():
         sums = MinorPairSums(a)
         for m in range(1, n):
             f = build_form(n, m, "psi")
-            got = quadratic_apply(f, minor_vector(a, m))
+            got = quadratic_apply(f, principal_minors_all(a, m))
             weights = [m * (n - m) - (m + 1) * (n - m + 1) * (m - j) / (m - j + 1.0)
                        for j in range(m + 1)]
             expected = float(np.dot(weights, sums.profile(m, m)))
@@ -266,7 +265,7 @@ def test_quadratic_chain_implies_newton():
         for m in range(1, n):
             f = build_form(n, m, "psi")
             scale = float(np.max(np.abs(f.entries)))
-            vec = minor_vector(a, m)
+            vec = principal_minors_all(a, m)
             val = quadratic_apply(f, vec)
             values.append(val >= -1e-9 * scale * float(vec @ vec))
         if all(values):

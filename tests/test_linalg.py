@@ -153,6 +153,13 @@ def test_dual_index_set_involution(n, data):
     assert dual_index_set(dual, n) == alpha
 
 
+def test_complement_reverses_colex_order():
+    for n in range(13):
+        for m in range(n + 1):
+            duals = [dual_index_set(alpha, n) for alpha in enumerate_subsets(n, m)]
+            assert duals == enumerate_subsets(n, n - m)[::-1], (n, m)
+
+
 def test_subset_masks_match_subsets():
     masks = subset_masks(5, 2)
     subs = enumerate_subsets(5, 2)

@@ -163,3 +163,12 @@ def test_dual_minor_identity_rejects_singular_and_oversized():
         dual_minor_identity_check(np.array([[1.0, -1.0], [-1.0, 1.0]]))
     with pytest.raises(InputError):
         dual_minor_identity_check(np.eye(11))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_dual_minor_identity_rejects_overflow():
+    # det overflows to inf, so minor ratios are inf/inf = nan: an error, not a pass
+    tridiag = 2.0 * np.eye(3) - np.eye(3, k=1) - np.eye(3, k=-1)
+    for a in (1e200 * np.eye(3), 1e160 * tridiag):
+        with pytest.raises(InputError, match="non-finite"):
+            dual_minor_identity_check(a)

@@ -15,7 +15,6 @@ from mnewton.serialize import (
     load_json,
     matrix_from_dict,
     matrix_to_dict,
-    poly_from_dict,
     spectrum_from_dict,
     spectrum_to_dict,
 )
@@ -54,13 +53,6 @@ def test_spectrum_from_dict_diagnostics():
         spectrum_from_dict({"values": [[1.0, 2.0, 3.0]]})
     with pytest.raises(InputError, match=r"values\[1\]"):
         spectrum_from_dict({"values": [1.0, "x"]})
-
-
-def test_poly_from_dict():
-    assert np.allclose(poly_from_dict({"coeffs": [1, -6, 14, -20, 0, 0, 0]}),
-                       [1, -6, 14, -20, 0, 0, 0])
-    with pytest.raises(InputError, match="'coeffs'"):
-        poly_from_dict({"coeffs": [1.0]})
 
 
 def test_generator_spec_from_dict():
