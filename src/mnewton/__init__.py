@@ -22,7 +22,6 @@ from .linalg import (
     determinant,
     dual_index_set,
     enumerate_subsets,
-    minor_sums,
     minor_sums_exhaustive,
     poly_roots,
     principal_minor,
@@ -85,7 +84,6 @@ __all__ = [
     "jll_condition",
     "laffey_meehan_condition",
     "minor_pair_sum",
-    "minor_sums",
     "minor_sums_exhaustive",
     "moment_condition",
     "moments",

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import as_matrix, binomials, minor_sums
+from .linalg import as_matrix, binomials
 
 # pairing tolerance for conjugate closure, relative to max(1, max |value|)
 CLOSURE_RTOL = 1e-9
@@ -52,9 +52,13 @@ def ensure_conjugate_closed(values) -> np.ndarray:
 
 
 def normalized_coeffs(a) -> np.ndarray:
-    """Coefficients c_j = E_j / C(n, j), where E_j sums the j x j principal minors."""
-    e = minor_sums(as_matrix(a))
-    return e / binomials(e.size - 1)
+    """Coefficients c_j = E_j / C(n, j), where E_j sums the j x j principal minors.
+
+    E_j is the j-th elementary symmetric function of the eigenvalues, so
+    the coefficients come from the spectrum by :func:`coeffs_from_spectrum`;
+    the eigenvalues of a real matrix come in exact conjugate pairs.
+    """
+    return coeffs_from_spectrum(np.linalg.eigvals(as_matrix(a)))
 
 
 def coeffs_from_spectrum(values) -> np.ndarray:

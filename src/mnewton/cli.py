@@ -170,8 +170,7 @@ def _cmd_forms(args):
     form = forms.build_form(args.n, args.m, args.kind,
                             override_cap=args.override_caps)
     is_psd, min_eig = forms.psd_check(form, tol=max(args.tol, 1e-12))
-    structure = forms.structure_checks(args.n, args.m, tol=max(args.tol, 1e-12),
-                                       override_cap=args.override_caps)
+    structure = forms.structure_checks(args.n, args.m, tol=max(args.tol, 1e-12))
     if args.export_csv:
         serialize.form_to_csv(form, args.export_csv)
     if args.export_json:

@@ -27,7 +27,6 @@ from .errors import InputError
 from .linalg import (
     _colex_masks,
     as_matrix,
-    enumerate_subsets,
     principal_minors_all,  # noqa: F401  (bench/tests checks that the tracer patches it here)
     sym_eigenvalues,
 )
@@ -115,22 +114,24 @@ def _overlaps(n: int, m: int) -> np.ndarray:
     return np.bitwise_count(masks[:, None] & masks[None, :]).astype(np.int64)
 
 
-def _check_form_params(n: int, m: int, override_cap: bool) -> int:
+def _check_order(n: int, m: int) -> None:
     if not 1 <= m <= n - 1:
         raise InputError(f"need 1 <= m <= n-1, got m = {m} with n = {n}")
+
+
+def build_form(n: int, m: int, kind: str, override_cap: bool = False) -> FormMatrix:
+    """Build the overlap-indexed form matrix of the given kind on size-m subsets.
+
+    The dimension cap guards the dense entries that exports materialize.
+    """
+    if kind not in FORM_KINDS:
+        raise InputError(f"unknown form kind {kind!r}; expected one of {FORM_KINDS}")
+    _check_order(n, m)
     dim = math.comb(n, m)
     if dim > FORM_DIMENSION_CAP and not override_cap:
         raise InputError(
             f"form dimension C({n},{m}) = {dim} exceeds cap {FORM_DIMENSION_CAP}; "
             "pass override_cap=True to force")
-    return dim
-
-
-def build_form(n: int, m: int, kind: str, override_cap: bool = False) -> FormMatrix:
-    """Build the overlap-indexed form matrix of the given kind on size-m subsets."""
-    if kind not in FORM_KINDS:
-        raise InputError(f"unknown form kind {kind!r}; expected one of {FORM_KINDS}")
-    _check_form_params(n, m, override_cap)
     return FormMatrix(n, m, kind)
 
 
@@ -152,12 +153,8 @@ def psd_check(form, tol: float = 1e-8) -> tuple[bool, float]:
 
 def incidence_matrix(n: int, m: int) -> np.ndarray:
     """0/1 matrix with one row per colex size-m subset, one column per element."""
-    subs = enumerate_subsets(n, m)
-    v = np.zeros((len(subs), n), dtype=np.int64)
-    for r, s in enumerate(subs):
-        for i in s:
-            v[r, i - 1] = 1
-    return v
+    masks = _colex_masks(n, m)
+    return ((masks[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -170,8 +167,7 @@ class StructureReport:
     ok: bool
 
 
-def structure_checks(n: int, m: int, tol: float = 1e-10,
-                     override_cap: bool = False) -> StructureReport:
+def structure_checks(n: int, m: int, tol: float = 1e-10) -> StructureReport:
     """Verify the structural relations tying the four forms together.
 
     Integer relations (Gramian factorization, complement to the rank-one
@@ -185,8 +181,9 @@ def structure_checks(n: int, m: int, tol: float = 1e-10,
     eigenvalues are, so phi == V V^T is checked against the spectrum of
     V^T V (diagonal C(n-1,m-1), off-diagonal C(n-2,m-2)): theta_0 = m
     C(n-1,m-1), theta_1 = C(n-2,m-1) and 0 beyond.  psi @ e = theta_0(psi) e.
+    No dense matrix is built, so no dimension cap applies.
     """
-    _check_form_params(n, m, override_cap)
+    _check_order(n, m)
     lo = _lowest_overlap(n, m)
     phi, tilde_phi, tilde_psi, psi = (FormMatrix(n, m, kind).weights[lo:] for kind in FORM_KINDS)
 
@@ -220,8 +217,7 @@ def binomial_identity_sum(n: int, m: int) -> Fraction:
     psi, since E_{m-j}(0) = C(m,j) C(n-m,m-j) counts the subsets at
     overlap j from a fixed one.
     """
-    if not 1 <= m <= n - 1:
-        raise InputError(f"need 1 <= m <= n-1, got m = {m} with n = {n}")
+    _check_order(n, m)
     return _theta(n, m, "psi", 0)
 
 

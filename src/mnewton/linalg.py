@@ -2,9 +2,11 @@
 
 Every function here is pure and deterministic: identical inputs give
 bit-identical outputs.  Subset-indexed vectors and matrices always use
-the colexicographic order produced by :func:`enumerate_subsets`, which
-fixes the basis and summation order of every subset-indexed reduction
-in the package.
+colexicographic order, which is increasing-bitmask order: every subset
+table (:func:`subset_masks`, :func:`enumerate_subsets`, the index blocks
+of :func:`principal_minors_all`) is read off the one bitmask kernel, which
+fixes the basis and summation order of every subset-indexed reduction in
+the package.
 """
 
 from __future__ import annotations
@@ -97,19 +99,7 @@ def enumerate_subsets(n: int, m: int) -> list[tuple[int, ...]]:
     is the canonical basis order for every subset-indexed vector and
     matrix in the package.
     """
-    if n < 0 or m < 0:
-        raise InputError("subset parameters must be nonnegative")
-    if m > n:
-        raise InputError(f"cannot choose {m} elements from {n}")
-
-    def walk(limit: int, size: int) -> list[tuple[int, ...]]:
-        if size == 0:
-            return [()]
-        return [s + (last,)
-                for last in range(size, limit + 1)
-                for s in walk(last - 1, size - 1)]
-
-    return walk(n, m)
+    return [tuple(s) for s in (_colex_indices(n, m) + 1).tolist()]
 
 
 def subset_masks(n: int, m: int) -> np.ndarray:
@@ -118,7 +108,8 @@ def subset_masks(n: int, m: int) -> np.ndarray:
 
 
 def _colex_masks(n: int, m: int) -> np.ndarray:
-    """Kernel of :func:`subset_masks`, kept private for ``FormMatrix.entries``.
+    """Kernel of :func:`subset_masks`, kept private for ``FormMatrix.entries``
+    and :func:`_colex_indices`.
 
     Colex order is increasing-bitmask order, so by Pascal's rule the
     size-r masks over {1..k} are those over {1..k-1} followed by the
@@ -142,26 +133,11 @@ def _colex_masks(n: int, m: int) -> np.ndarray:
     return by_size[m]
 
 
-def minor_sums(a) -> np.ndarray:
-    """Sums E_j of all j x j principal minors, j = 0..n.
-
-    Computed by the trace-based characteristic-polynomial recursion
-    (O(n^4) matrix products).  ``minor_sums_exhaustive`` is the
-    independent enumeration route kept for cross-checking.
-    """
-    m = as_matrix(a)
-    n = m.shape[0]
-    e = np.zeros(n + 1)
-    e[0] = 1.0
-    bk = np.eye(n)
-    sign = 1.0
-    for k in range(1, n + 1):
-        ab = m @ bk
-        ck = -np.trace(ab) / k
-        sign = -sign
-        e[k] = sign * ck
-        bk = ab + ck * np.eye(n)
-    return e
+def _colex_indices(n: int, m: int) -> np.ndarray:
+    """C(n, m) x m table of the 0-based elements of each colex subset, ascending."""
+    masks = _colex_masks(n, m)
+    bits = (masks[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
+    return np.nonzero(bits)[1].reshape(masks.size, m)
 
 
 def principal_minors_all(a, m: int) -> np.ndarray:
@@ -170,9 +146,7 @@ def principal_minors_all(a, m: int) -> np.ndarray:
     n = mat.shape[0]
     if not 0 <= m <= n:
         raise InputError(f"minor size {m} out of range 0..{n}")
-    if m == 0:
-        return np.ones(1)
-    subs = np.array(enumerate_subsets(n, m), dtype=np.intp) - 1
+    subs = _colex_indices(n, m)
     blocks = mat[subs[:, :, None], subs[:, None, :]]
     return np.linalg.det(blocks)
 

@@ -1,7 +1,7 @@
 """Z / P / M / inverse-M classification and seeded generators of these classes.
 
 The M test for Z-matrices uses the classical leading-principal-minor
-characterization; the exhaustive all-minors P test is retained as an
+characterization and the inverse-M test inverse nonnegativity; the exhaustive all-minors P test is retained as an
 oracle for small orders.  Generators are deterministic functions of a
 seed so property tests are reproducible.
 """
@@ -96,13 +96,16 @@ def _singular_probe(a: np.ndarray, tol: float) -> bool:
 
 
 def _is_inverse_m(a: np.ndarray, tol: float) -> bool:
-    if abs(determinant(a)) <= tol:
+    """A Z-matrix is a nonsingular M-matrix iff its inverse is nonnegative
+    (Berman & Plemmons, ch. 6), so A is inverse-M iff A >= 0, A is
+    nonsingular and inv(A) is a Z-matrix."""
+    if np.any(a < -tol) or determinant(a) == 0.0:
         return False
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         return False
-    return _m_nonsingular(inv, tol)[0]
+    return not _z_violations(inv, tol)
 
 
 def classify(a, tol: float = 1e-9) -> MatrixClassReport:
@@ -209,8 +212,9 @@ def dual_minor_identity_check(a, tol: float = 1e-8) -> bool:
 
     Holds for every nonsingular matrix; checked exhaustively, so the order
     is capped at ``DUAL_CHECK_MAX_N``.  Returns True iff the worst relative
-    deviation is within ``tol``; a non-finite deviation (overflow in the
-    minors or the determinant) raises InputError.
+    deviation is within ``tol``; a singular matrix (``determinant`` is
+    exactly 0.0 by its relative pivot test) or a non-finite deviation
+    (overflow in the minors or the determinant) raises InputError.
 
     Complementing a bitmask reverses colex order, so the complements of the
     size-m subsets, in order, are the size-(n-m) subsets in reverse.
@@ -220,8 +224,8 @@ def dual_minor_identity_check(a, tol: float = 1e-8) -> bool:
     if n > DUAL_CHECK_MAX_N:
         raise InputError(f"dual minor check capped at n <= {DUAL_CHECK_MAX_N}")
     det = determinant(mat)
-    if abs(det) <= tol:
-        raise InputError("matrix is singular within tolerance")
+    if det == 0.0:
+        raise InputError("matrix is singular (zero pivot in elimination)")
     inv = np.linalg.inv(mat)
     worst = 0.0
     for m in range(n + 1):

@@ -215,8 +215,8 @@ def expansion_identity_check(a, m: int, tol: float = 1e-9,
     ``c_m^2`` equals the total (m, m) pair sum over C(n,m)^2, and
     ``c_{m-1} c_{m+1}`` equals the total (m+1, m-1) pair sum over
     C(n,m+1) C(n,m-1).  Both are algebraic identities valid for every
-    real matrix; the left sides travel through the trace recursion, so
-    this doubles as a cross-route consistency check.
+    real matrix; the left sides travel through the eigenvalues and the
+    spectrum recurrence, so this doubles as a cross-route consistency check.
     """
     sums = sums if sums is not None else MinorPairSums(a)
     n = sums.n

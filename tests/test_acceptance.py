@@ -13,7 +13,7 @@ import numpy as np
 
 from mnewton.charcoeff import coeffs_from_spectrum, newton_check, normalized_coeffs
 from mnewton.forms import binomial_identity_sum, build_form
-from mnewton.linalg import minor_sums, minor_sums_exhaustive, poly_roots, subset_masks
+from mnewton.linalg import binomials, minor_sums_exhaustive, poly_roots, subset_masks
 from mnewton.mclass import GeneratorSpec, generate
 from mnewton.niep import (
     construct_perturbed,
@@ -127,11 +127,11 @@ def test_criterion_06_oracle_equivalence():
     for i in range(200):
         n = 2 + i % 6
         a = rng.uniform(-1.0, 1.0, (n, n))
-        fast = minor_sums(a)
+        fast = normalized_coeffs(a) * binomials(n)
         slow = minor_sums_exhaustive(a)
         dev = np.abs(fast - slow) / np.maximum(1.0, np.abs(slow))
         if np.max(dev) > 1e-8:
-            failures.append(("minor_sums", i, n, float(np.max(dev))))
+            failures.append(("coeffs", i, n, float(np.max(dev))))
     for n in range(1, 11):
         masks = {m: subset_masks(n, m) for m in range(n + 1)}
         for m1 in range(n + 1):
@@ -143,7 +143,7 @@ def test_criterion_06_oracle_equivalence():
                     if identity_pair_count(n, m1, m2, k) != int(counts[k]):
                         failures.append(("pair_count", n, m1, m2, k))
     ok = not failures
-    assert _verdict(6, "trace recursion vs enumeration; closed-form pair counts",
+    assert _verdict(6, "coefficient route vs enumeration; closed-form pair counts",
                     ok), failures[:5]
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from mnewton.charcoeff import (
     normalized_coeffs,
 )
 from mnewton.errors import InputError
+from mnewton.linalg import minor_sums_exhaustive
 from mnewton.mclass import GeneratorSpec, generate, well_conditioned_transform
 from mnewton.niep import moments
 
@@ -125,3 +127,55 @@ def test_first_margin_sign_matches_moment_comparison():
         ref = n * s[1] - s[0] ** 2
         if abs(ref) > 1e-9:
             assert margin * ref >= 0.0 or abs(margin) <= 1e-12
+
+
+def exact_minor_sums(a) -> list[Fraction]:
+    """Exact E_0..E_n of a float matrix: Faddeev-LeVerrier in integers (the test oracle).
+
+    Float entries are dyadic rationals, so B = 2^s A is an integer matrix
+    for some s.  Every step of the trace recursion on B is then an integer,
+    and E_j(A) = E_j(B) / 2^(s j).
+    """
+    fr = [[Fraction(float(x)) for x in row] for row in np.asarray(a, dtype=float)]
+    n = len(fr)
+    s = max(f.denominator for row in fr for f in row).bit_length() - 1
+    b = np.array([[int(f * 2**s) for f in row] for row in fr], dtype=object)
+    eye = np.eye(n, dtype=int).astype(object)
+    e, acc = [1], eye
+    for k in range(1, n + 1):
+        prod = b.dot(acc)
+        c, rem = divmod(-np.trace(prod), k)
+        assert rem == 0
+        e.append((-1) ** k * c)
+        acc = prod + c * eye
+    return [Fraction(x, 2 ** (s * j)) for j, x in enumerate(e)]
+
+
+def test_exact_oracle_matches_enumeration():
+    assert exact_minor_sums([[2.0, -1.0], [-1.0, 2.0]]) == [1, 4, 3]
+    rng = np.random.default_rng(8)
+    for n in range(1, 7):
+        a = rng.uniform(-1, 1, (n, n))
+        exact = np.array([float(x) for x in exact_minor_sums(a)])
+        assert np.allclose(exact, minor_sums_exhaustive(a), rtol=1e-12, atol=1e-14), n
+
+
+@pytest.mark.parametrize("kind", ["M", "inverse-M"])
+@pytest.mark.parametrize("n", [16, 20])
+def test_normalized_coeffs_match_exact_oracle(kind, n):
+    a = generate(GeneratorSpec(kind, n, 1))
+    want = np.array([float(x / math.comb(n, j)) for j, x in enumerate(exact_minor_sums(a))])
+    rel = np.abs(normalized_coeffs(a)[1:] - want[1:]) / np.abs(want[1:])
+    assert np.max(rel) <= 1e-13, (kind, n, float(np.max(rel)))
+
+
+def test_inverse_m_coefficients_positive_at_forty():
+    # an inverse-M matrix is a P-matrix, so every E_j is a sum of positive minors
+    assert np.all(normalized_coeffs(generate(GeneratorSpec("inverse-M", 40, 1))) > 0.0)
+
+
+@pytest.mark.parametrize("kind", ["M", "singular-M", "similarity-conjugated-M"])
+def test_newton_holds_at_sixty_four(kind):
+    for seed in range(4):
+        a = generate(GeneratorSpec(kind, 64, seed))
+        assert newton_check(normalized_coeffs(a)).holds, (kind, seed)

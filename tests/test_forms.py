@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -161,6 +162,12 @@ def test_structure_checks_sweep():
             assert structure_checks(n, m).ok, (n, m)
 
 
+def test_structure_checks_uncapped():
+    # C(16,8) = 12870 is over the dense cap and C(60,30) ~ 1.2e17 cannot be built
+    assert structure_checks(16, 8).ok
+    assert structure_checks(60, 30).ok
+
+
 def _dense_structure(n, m, tol=1e-10):
     """Entrywise structure relations on the dense matrices (the reference route)."""
     j = overlap_matrix(n, m)
@@ -195,6 +202,15 @@ def test_incidence_gramian_is_overlap_matrix():
         for m in range(n + 1):
             v = incidence_matrix(n, m)
             assert np.array_equal(v @ v.T, overlap_matrix(n, m)), (n, m)
+
+
+def test_incidence_rows_are_colex_indicators():
+    for n in range(1, 9):
+        for m in range(n + 1):
+            subsets = sorted(itertools.combinations(range(1, n + 1), m), key=lambda s: s[::-1])
+            want = [[int(i in s) for i in range(1, n + 1)] for s in subsets]
+            got = incidence_matrix(n, m)
+            assert got.dtype == np.int64 and got.tolist() == want, (n, m)
 
 
 def test_incidence_gramian_3_2():

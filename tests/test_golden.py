@@ -8,7 +8,8 @@ expected bytes live in ``golden/expected/<case>/``: ``stdout``, ``stderr``,
 The files pin the report contract, including the field order that
 ``--format text`` follows.  Rewrite them only for an intended report
 change, with ``python tests/test_golden.py`` (it needs ``src`` on
-``PYTHONPATH``), and say which fields changed and why.
+``PYTHONPATH``; it prints each file whose bytes it changed), and say
+which fields changed and why.
 """
 
 import contextlib
@@ -133,10 +134,16 @@ def test_cli_output_matches_golden(name, tmp_path):
 if __name__ == "__main__":
     import tempfile
 
+    changed = []
     for case, case_argv in CASES.items():
         target = GOLDEN / "expected" / case
         target.mkdir(parents=True, exist_ok=True)
         with tempfile.TemporaryDirectory() as tmp:
             for fname, data in run_case(case_argv, Path(tmp)).items():
-                (target / fname).write_bytes(data)
-    print(f"wrote {len(CASES)} cases under {GOLDEN / 'expected'}", file=sys.stderr)
+                path = target / fname
+                if not path.is_file() or path.read_bytes() != data:
+                    path.write_bytes(data)
+                    changed.append(f"{case}/{fname}")
+    print("\n".join(changed) or "no golden file changed")
+    print(f"checked {len(CASES)} cases under {GOLDEN / 'expected'}, "
+          f"rewrote {len(changed)} files", file=sys.stderr)

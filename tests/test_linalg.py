@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mnewton.charcoeff import normalized_coeffs
 from mnewton.errors import InputError
 from mnewton.linalg import (
     as_matrix,
@@ -13,7 +15,6 @@ from mnewton.linalg import (
     determinant,
     dual_index_set,
     enumerate_subsets,
-    minor_sums,
     minor_sums_exhaustive,
     poly_roots,
     principal_minor,
@@ -85,12 +86,12 @@ def test_principal_minor_of_diagonal_is_product(n, data):
 
 def test_minor_sums_identity():
     for n in (1, 3, 6):
-        assert np.allclose(minor_sums(np.eye(n)), binomials(n))
+        assert np.allclose(normalized_coeffs(np.eye(n)) * binomials(n), binomials(n))
 
 
 def test_minor_sums_examples():
-    assert np.allclose(minor_sums(np.diag([1.0, 2.0, 3.0])), [1, 6, 11, 6])
-    assert np.allclose(minor_sums([[2.0, -1.0], [-1.0, 2.0]]), [1, 4, 3])
+    assert np.allclose(normalized_coeffs(np.diag([1.0, 2.0, 3.0])) * binomials(3), [1, 6, 11, 6])
+    assert np.allclose(normalized_coeffs([[2.0, -1.0], [-1.0, 2.0]]) * binomials(2), [1, 4, 3])
 
 
 def test_minor_sums_agrees_with_enumeration():
@@ -98,7 +99,7 @@ def test_minor_sums_agrees_with_enumeration():
     for _ in range(40):
         n = int(rng.integers(1, 8))
         a = rng.uniform(-1, 1, (n, n))
-        fast = minor_sums(a)
+        fast = normalized_coeffs(a) * binomials(n)
         slow = minor_sums_exhaustive(a)
         assert np.all(np.abs(fast - slow) <= 1e-8 * np.maximum(1.0, np.abs(slow)))
 
@@ -171,10 +172,11 @@ def test_subset_masks_match_subsets():
 def test_subset_masks_match_enumeration_up_to_fourteen():
     for n in range(15):
         for m in range(n + 1):
-            want = np.array([sum(1 << (i - 1) for i in s) for s in enumerate_subsets(n, m)],
-                            dtype=np.uint64)
+            subsets = sorted(itertools.combinations(range(1, n + 1), m), key=lambda s: s[::-1])
+            want = np.array([sum(1 << (i - 1) for i in s) for s in subsets], dtype=np.uint64)
             got = subset_masks(n, m)
             assert got.dtype == np.uint64 and np.array_equal(got, want), (n, m)
+            assert enumerate_subsets(n, m) == subsets, (n, m)
 
 
 def test_subset_masks_validation():

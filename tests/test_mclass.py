@@ -66,6 +66,25 @@ def test_generate_inverse_m_classifies_inverse_m():
         assert rep.is_inverse_m
 
 
+def test_inverse_m_detected_beyond_unit_determinant():
+    # det(inverse-M) = 1/det(M) drops below any absolute tolerance as n grows
+    for n in (12, 16, 24, 32):
+        a = generate(GeneratorSpec("inverse-M", n, 0))
+        assert abs(determinant(a)) < 1e-9
+        assert classify(a).is_inverse_m, n
+
+
+def test_inverse_m_verdict_scale_invariant():
+    for seed in range(6):
+        n = 3 + seed
+        for kind in ("inverse-M", "M"):
+            a = generate(GeneratorSpec(kind, n, seed))
+            want = classify(a).is_inverse_m
+            assert want == (kind == "inverse-M")
+            for s in (2.0 ** -40, 2.0 ** 40):
+                assert classify(s * a).is_inverse_m == want, (kind, n, s)
+
+
 def test_generate_singular_m_is_near_singular_z():
     for seed in range(25):
         n = 2 + seed % 7
@@ -156,6 +175,14 @@ def test_dual_minor_identity_holds_generally():
             continue
         assert dual_minor_identity_check(a, tol=1e-8)
         done += 1
+
+
+def test_dual_minor_identity_inverse_m_small_determinant():
+    # |det| is below the check's tolerance here, yet the matrices are far from singular
+    for seed in (0, 4, 6):
+        a = generate(GeneratorSpec("inverse-M", 10, seed))
+        assert abs(determinant(a)) <= 1e-8
+        assert dual_minor_identity_check(a), seed
 
 
 def test_dual_minor_identity_rejects_singular_and_oversized():

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from mnewton.charcoeff import coeffs_from_spectrum, newton_check
+from mnewton.charcoeff import coeffs_from_spectrum, newton_check, normalized_coeffs
 from mnewton.errors import InputError
-from mnewton.linalg import minor_sums, poly_roots
+from mnewton.linalg import binomials, poly_roots
 from mnewton.niep import (
     FAIL,
     NOT_APPLICABLE,
@@ -171,7 +171,7 @@ def test_screen_spectra_of_random_nonnegative_matrices():
     for _ in range(25):
         n = int(rng.integers(2, 7))
         a = rng.uniform(0.0, 1.0, (n, n))
-        e = minor_sums(a)
+        e = normalized_coeffs(a) * binomials(n)
         coeffs = [(-1.0) ** j * e[j] for j in range(n + 1)]
         lam = poly_roots(coeffs)
         rep = screen(lam)
