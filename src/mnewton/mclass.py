@@ -1,9 +1,10 @@
 """Z / P / M / inverse-M classification and seeded generators of these classes.
 
 The M test for Z-matrices uses the classical leading-principal-minor
-characterization and the inverse-M test inverse nonnegativity; the exhaustive all-minors P test is retained as an
-oracle for small orders.  Generators are deterministic functions of a
-seed so property tests are reproducible.
+characterization, the inverse-M test uses inverse nonnegativity, and the
+exhaustive all-minors P test is retained as an oracle for small orders.
+Generators are deterministic functions of a seed so property tests are
+reproducible.
 """
 
 from __future__ import annotations
@@ -96,9 +97,8 @@ def _singular_probe(a: np.ndarray, tol: float) -> bool:
 
 
 def _is_inverse_m(a: np.ndarray, tol: float) -> bool:
-    """A Z-matrix is a nonsingular M-matrix iff its inverse is nonnegative
-    (Berman & Plemmons, ch. 6), so A is inverse-M iff A >= 0, A is
-    nonsingular and inv(A) is a Z-matrix."""
+    """A >= 0, nonsingular and inv(A) a Z-matrix: a Z-matrix is a nonsingular
+    M-matrix iff its inverse is nonnegative (Berman & Plemmons, ch. 6)."""
     if np.any(a < -tol) or determinant(a) == 0.0:
         return False
     try:
@@ -225,7 +225,7 @@ def dual_minor_identity_check(a, tol: float = 1e-8) -> bool:
         raise InputError(f"dual minor check capped at n <= {DUAL_CHECK_MAX_N}")
     det = determinant(mat)
     if det == 0.0:
-        raise InputError("matrix is singular (zero pivot in elimination)")
+        raise InputError("matrix is singular (negligible pivot in elimination)")
     inv = np.linalg.inv(mat)
     worst = 0.0
     for m in range(n + 1):
