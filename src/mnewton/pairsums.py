@@ -45,18 +45,20 @@ def identity_pair_count(n: int, m1: int, m2: int, k: int) -> int:
 
 
 class MinorPairSums:
-    """Pair sums of one matrix with per-size minor caching.
+    """Pair sums of one matrix, from superset sums cached per size.
 
-    All size-m principal minors are computed once and reused across every
-    (m1, m2, k) query.  A profile is computed by binomial moments instead
-    of over the C(n,m1)*C(n,m2) subset pairs.  With the up-sums
+    A profile is computed by binomial moments instead of over the
+    C(n,m1)*C(n,m2) subset pairs.  With the up-sums
     ``U_x(g) = sum of x[alpha] over alpha containing g``, the moments
     ``S_t = sum over |g| = t of U_x(g) U_y(g)`` satisfy
     ``S_t = sum_k C(k,t) P_k``, and the binomial inversion
     ``P_k = sum_{t>=k} (-1)^(t-k) C(t,k) S_t`` gives the overlap profile
-    P.  The up-sums come from down-shadow steps over the colex subset
-    lattice, about n*2^(n-1) additions per profile; every reduction runs
-    in a fixed order, so repeated runs produce bit-identical sums.
+    P.  The up-sums of size m live in one array of 2^n floats indexed by
+    bitmask: the size-m minors sit at the masks of popcount m, and one
+    superset-sum (Yates zeta) pass, ``f[mask] += f[mask | bit]`` for each
+    bit, counts every superset once in n*2^(n-1) additions.  Each size is
+    transformed once and cached; every reduction runs in a fixed order,
+    so repeated runs produce bit-identical sums.
     """
 
     def __init__(self, a, override_cap: bool = False):
@@ -65,50 +67,26 @@ class MinorPairSums:
         if self.n > PAIR_SUM_ORDER_CAP and not override_cap:
             raise InputError(
                 f"pair sums capped at n <= {PAIR_SUM_ORDER_CAP} "
-                "(minors and moments cost about 2^n each); "
+                "(memory is about (n+1)*2^n floats); "
                 "pass override_cap=True to force")
-        self._minors: dict[int, np.ndarray] = {}
-        self._children: list[np.ndarray] = []
+        self._sizes = np.bitwise_count(np.arange(1 << self.n))   # popcount of each mask
+        self._ups: dict[int, np.ndarray] = {}
         self._profiles: dict[tuple[int, int], np.ndarray] = {}
 
     def minors(self, m: int) -> np.ndarray:
-        if m not in self._minors:
-            self._minors[m] = principal_minors_all(self.matrix, m)
-        return self._minors[m]
+        """The size-m principal minors in colex order (increasing-mask order)."""
+        return self._up_sums(m)[self._sizes == m]
 
-    def _child_ranks(self, s: int) -> np.ndarray:
-        """C(n,s) x s table: colex ranks of the size-(s-1) subsets of each size-s subset.
-
-        Built for every s at once by Pascal's rule on colex order: the
-        size-s subsets of {1..k} are those of {1..k-1}, then each size-(s-1)
-        subset T of {1..k-1} with k added.  The children of T + {k} are the
-        children of T with k added, offset by C(k-1, s-1), and then T itself.
-        """
-        if not self._children:
-            tables = [np.zeros((1, 0), dtype=np.int32)]
-            for k in range(1, self.n + 1):
-                tables = [tables[0]] + [np.vstack((
-                    tables[s] if s < k else np.zeros((0, s), dtype=np.int32),
-                    np.hstack((tables[s - 1] + math.comb(k - 1, s - 1),
-                               np.arange(math.comb(k - 1, s - 1), dtype=np.int32)[:, None]))))
-                    for s in range(1, k + 1)]
-            self._children = tables
-        return self._children[s]
-
-    def _up_sums(self, m: int, t_min: int) -> dict[int, np.ndarray]:
-        """U(g) = sum of the size-m minors over supersets of g, for every t_min <= |g| <= m.
-
-        One down-shadow step sums each size-(t+1) value into its t+1
-        size-t subsets, so a size-m set reaches each size-t subset along
-        (m-t)! chains; dividing by that count gives U.
-        """
-        w = self.minors(m)
-        ups = {m: w}
-        for t in range(m - 1, t_min - 1, -1):
-            w = np.bincount(self._child_ranks(t + 1).ravel(), weights=np.repeat(w, t + 1),
-                            minlength=math.comb(self.n, t))
-            ups[t] = w / math.factorial(m - t)
-        return ups
+    def _up_sums(self, m: int) -> np.ndarray:
+        """U(g) = sum of the size-m minors over the supersets of g, at every mask g."""
+        if m not in self._ups:
+            u = np.zeros(1 << self.n)
+            u[self._sizes == m] = principal_minors_all(self.matrix, m)
+            for i in range(self.n):
+                v = u.reshape(-1, 2, 1 << i)
+                v[:, 0] += v[:, 1]
+            self._ups[m] = u
+        return self._ups[m]
 
     def profile(self, m1: int, m2: int) -> np.ndarray:
         """Vector of pair sums for every overlap k = 0..min(m1, m2).
@@ -120,9 +98,8 @@ class MinorPairSums:
         key = (m1, m2)
         if key not in self._profiles:
             kmin, kmax = max(0, m1 + m2 - self.n), min(m1, m2)
-            ux = self._up_sums(m1, kmin)
-            uy = ux if m2 == m1 else self._up_sums(m2, kmin)
-            moments = {t: float((ux[t] * uy[t]).sum()) for t in range(kmin, kmax + 1)}
+            prod = self._up_sums(m1) * self._up_sums(m2)
+            moments = {t: float(prod[self._sizes == t].sum()) for t in range(kmin, kmax + 1)}
             if not all(map(math.isfinite, moments.values())):
                 raise InputError(f"pair sums of sizes ({m1}, {m2}) overflow")
             exact = {t: Fraction(v) for t, v in moments.items()}
