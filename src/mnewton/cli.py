@@ -7,6 +7,7 @@ Exit codes: 0 all requested checks pass, 1 at least one check failed
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -276,8 +277,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.tol <= 0:
-        print("error: field 'tol' must be positive", file=sys.stderr)
+    if not 0 < args.tol < math.inf:
+        print("error: field 'tol' must be positive and finite", file=sys.stderr)
         return EXIT_USAGE
     try:
         ok, report = _HANDLERS[args.command](args)

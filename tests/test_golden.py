@@ -50,6 +50,7 @@ CASES = {
                                   "--format", "text"],
     "newton-spectrum-one": ["newton", "--spectrum", "inputs/spec_one.json"],
     "newton-bad-tol": ["newton", "--input", "inputs/m5.json", "--tol", "-1"],
+    "newton-tol-inf": ["newton", "--input", "inputs/m5.json", "--tol", "inf"],
     "sfunc-m5": ["sfunc", "--input", "inputs/m5.json"],
     "sfunc-invm4": ["sfunc", "--input", "inputs/invm4.json"],
     "sfunc-m5-m2-k1": ["sfunc", "--input", "inputs/m5.json", "--m", "2", "--k", "1"],
@@ -58,6 +59,8 @@ CASES = {
     "sfunc-violator2": ["sfunc", "--input", "inputs/violator2.json"],
     "sfunc-infeasible": ["sfunc", "--input", "inputs/m5.json", "--m", "4", "--k", "0"],
     "sfunc-k-without-m": ["sfunc", "--input", "inputs/m5.json", "--k", "1"],
+    "sfunc-tol-nan": ["sfunc", "--input", "inputs/m5.json", "--m", "3", "--k", "1",
+                      "--tol", "nan"],
     "forms-psi-5-2-exports": ["forms", "--n", "5", "--m", "2",
                               "--export-csv", "psi.csv", "--export-json", "psi.json"],
     "forms-tilde-phi-6-3": ["forms", "--n", "6", "--m", "3", "--kind", "tilde_phi",
