@@ -20,11 +20,7 @@ from .forms import (
 )
 from .linalg import (
     determinant,
-    dual_index_set,
     enumerate_subsets,
-    minor_sums_exhaustive,
-    poly_roots,
-    principal_minor,
     principal_minors_all,
     sym_eigenvalues,
 )
@@ -73,7 +69,6 @@ __all__ = [
     "coeffs_from_spectrum",
     "construct_perturbed",
     "determinant",
-    "dual_index_set",
     "dual_minor_identity_check",
     "ensure_conjugate_closed",
     "enumerate_subsets",
@@ -84,15 +79,12 @@ __all__ = [
     "jll_condition",
     "laffey_meehan_condition",
     "minor_pair_sum",
-    "minor_sums_exhaustive",
     "moment_condition",
     "moments",
     "newton_check",
     "newton_shift_condition",
     "normalized_coeffs",
-    "poly_roots",
     "pointwise_check",
-    "principal_minor",
     "principal_minors_all",
     "psd_check",
     "quadratic_apply",

@@ -13,7 +13,7 @@ import numpy as np
 
 from mnewton.charcoeff import coeffs_from_spectrum, newton_check, normalized_coeffs
 from mnewton.forms import binomial_identity_sum, build_form
-from mnewton.linalg import binomials, minor_sums_exhaustive, poly_roots, subset_masks
+from mnewton.linalg import binomials, subset_masks
 from mnewton.mclass import GeneratorSpec, generate
 from mnewton.niep import (
     construct_perturbed,
@@ -33,6 +33,8 @@ from mnewton.pairsums import (
     pointwise_check,
     ratio_check,
 )
+
+from helpers import minor_sums_exhaustive, poly_roots
 
 
 def _verdict(num, label, ok, detail=""):

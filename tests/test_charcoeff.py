@@ -13,9 +13,10 @@ from mnewton.charcoeff import (
     normalized_coeffs,
 )
 from mnewton.errors import InputError
-from mnewton.linalg import minor_sums_exhaustive
 from mnewton.mclass import GeneratorSpec, generate, well_conditioned_transform
 from mnewton.niep import moments
+
+from helpers import minor_sums_exhaustive
 
 SQRT2 = math.sqrt(2.0)
 

@@ -11,16 +11,19 @@ from mnewton.errors import InputError
 from mnewton.linalg import (
     as_matrix,
     binomials,
-    companion_matrix,
     determinant,
-    dual_index_set,
     enumerate_subsets,
-    minor_sums_exhaustive,
-    poly_roots,
-    principal_minor,
     principal_minors_all,
     subset_masks,
     sym_eigenvalues,
+)
+
+from helpers import (
+    companion_matrix,
+    dual_index_set,
+    minor_sums_exhaustive,
+    poly_roots,
+    principal_minor,
     validate_index_set,
 )
 

@@ -5,7 +5,7 @@ import pytest
 
 from mnewton.charcoeff import coeffs_from_spectrum, newton_check, normalized_coeffs
 from mnewton.errors import InputError
-from mnewton.linalg import binomials, poly_roots
+from mnewton.linalg import binomials
 from mnewton.niep import (
     FAIL,
     NOT_APPLICABLE,
@@ -18,6 +18,8 @@ from mnewton.niep import (
     newton_shift_condition,
     screen,
 )
+
+from helpers import poly_roots
 
 SQRT2 = math.sqrt(2.0)
 

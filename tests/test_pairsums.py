@@ -120,7 +120,8 @@ def test_pair_sum_symmetric_in_sizes(n, m1, m2, k, seed):
 
 def test_pair_sum_against_direct_enumeration():
     rng = np.random.default_rng(12)
-    from mnewton.linalg import enumerate_subsets, principal_minor
+    from helpers import principal_minor
+    from mnewton.linalg import enumerate_subsets
     for _ in range(5):
         n = int(rng.integers(2, 6))
         a = rng.uniform(-1, 1, (n, n))
