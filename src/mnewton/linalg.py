@@ -3,10 +3,11 @@
 Every function here is pure and deterministic: identical inputs give
 bit-identical outputs.  Subset-indexed vectors and matrices always use
 colexicographic order, which is increasing-bitmask order: every subset
-table (:func:`subset_masks`, :func:`enumerate_subsets`, the index blocks
-of :func:`principal_minors_all`) is read off the one bitmask kernel, which
-fixes the basis and summation order of every subset-indexed reduction in
-the package.
+table (:func:`subset_masks`, :func:`enumerate_subsets`) is read off the
+one bitmask kernel, and the principal minors come off one
+Schur-complement tree whose stack index is the bitmask, which fixes the
+basis and summation order of every subset-indexed reduction in the
+package.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ def enumerate_subsets(n: int, m: int) -> list[tuple[int, ...]]:
     is the canonical basis order for every subset-indexed vector and
     matrix in the package.
     """
-    return [tuple(s) for s in (_colex_indices(n, m) + 1).tolist()]
+    return [tuple(s) for s in (_mask_elements(_colex_masks(n, m), n) + 1).tolist()]
 
 
 def subset_masks(n: int, m: int) -> np.ndarray:
@@ -80,7 +81,7 @@ def subset_masks(n: int, m: int) -> np.ndarray:
 
 def _colex_masks(n: int, m: int) -> np.ndarray:
     """Kernel of :func:`subset_masks`, kept private for ``FormMatrix.entries``
-    and :func:`_colex_indices`.
+    and :func:`enumerate_subsets`.
 
     Colex order is increasing-bitmask order, so by Pascal's rule the
     size-r masks over {1..k} are those over {1..k-1} followed by the
@@ -104,22 +105,85 @@ def _colex_masks(n: int, m: int) -> np.ndarray:
     return by_size[m]
 
 
-def _colex_indices(n: int, m: int) -> np.ndarray:
-    """C(n, m) x m table of the 0-based elements of each colex subset, ascending."""
-    masks = _colex_masks(n, m)
+def _mask_elements(masks: np.ndarray, n: int) -> np.ndarray:
+    """One row per bitmask (all of one popcount): its 0-based elements, ascending."""
     bits = (masks[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
-    return np.nonzero(bits)[1].reshape(masks.size, m)
+    return np.nonzero(bits)[1].reshape(masks.size, -1)
+
+
+def _minor_tree(mat: np.ndarray, m: int | None = None) -> np.ndarray:
+    """Principal minors of every subset (``m`` None) or of the size-m subsets,
+    masks ascending, from one Schur-complement tree.
+
+    The elements are taken in order (Griffin & Tsatsomeros 2006).  Before
+    element k each subset S of {0..k-1} carries det A[S] and the Schur
+    complement A/A[S] on {k..n-1}; with the pivot p = (A/A[S])_kk,
+    det A[S + {k}] = det A[S] * p, and eliminating p gives the complement
+    of S + {k}.  The children are stacked [exclude, include], so the stack
+    index is the bitmask.  With ``m`` given, the masks are tracked and only
+    the branches that can end at size m grow: a set of size m is not
+    extended, and one that can no longer reach m is dropped.
+
+    A pivot with ``|p| <= PIVOT_RTOL * maxabs(its complement row)`` (a zero
+    row included) is rejected, as in :func:`determinant`: det A[S] * p is
+    still exact, but the minors below it are recomputed by batched ``det``
+    on their blocks.  The last element forms no complement, so it rejects
+    nothing.
+    """
+    n = mat.shape[0]
+    masks = np.zeros(1, dtype=np.uint64)
+    minors = np.ones(1)
+    comp = mat[None]
+    stale = np.zeros(1, dtype=bool)   # complement unusable: a pivot above was rejected
+    redo = np.zeros(1, dtype=bool)    # minor to recompute by batched det
+    stay = grow = slice(None)
+    for k in range(n):
+        if m is not None:
+            size = np.bitwise_count(masks)
+            stay, grow = size >= m - (n - 1 - k), size < m
+            masks = np.concatenate((masks[stay], masks[grow] | np.uint64(1 << k)))
+        top = comp[grow]
+        piv = top[:, 0, 0]
+        minors = np.concatenate((minors[stay], minors[grow] * piv))
+        redo = np.concatenate((redo[stay], (redo | stale)[grow]))
+        if k < n - 1:
+            reject = np.abs(piv) <= PIVOT_RTOL * np.max(np.abs(top[:, 0]), axis=1)
+            scaled = top[:, :1, 1:] / np.where(reject, 1.0, piv)[:, None, None]
+            inc = top[:, 1:, 1:] - top[:, 1:, :1] * scaled
+            inc[reject] = 0.0
+            comp = np.concatenate((comp[stay, 1:, 1:], inc))
+            stale = np.concatenate((stale[stay], reject))
+    if redo.any():
+        where = np.flatnonzero(redo)
+        sub = where.astype(np.uint64) if m is None else masks[where]
+        sizes = np.bitwise_count(sub)
+        for r in np.unique(sizes):
+            idx = _mask_elements(sub[sizes == r], n)
+            minors[where[sizes == r]] = np.linalg.det(mat[idx[:, :, None], idx[:, None, :]])
+    return minors
+
+
+def principal_minors_by_mask(a) -> np.ndarray:
+    """All 2^n principal minors, entry ``mask`` being det A[S] for the subset
+    S with bit i-1 set for element i (the empty set gives 1.0).
+
+    Read off one Schur-complement tree; selecting one popcount gives that
+    size's minors in colex order.
+    """
+    return _minor_tree(as_matrix(a))
 
 
 def principal_minors_all(a, m: int) -> np.ndarray:
-    """Principal minors of every size-m subset, in colex order (batched)."""
+    """Principal minors of every size-m subset, in colex order.
+
+    The same tree as :func:`principal_minors_by_mask`, restricted to the
+    branches that can end at size m, so small m at large n stays cheap.
+    """
     mat = as_matrix(a)
     n = mat.shape[0]
     if not 0 <= m <= n:
         raise InputError(f"minor size {m} out of range 0..{n}")
-    subs = _colex_indices(n, m)
-    blocks = mat[subs[:, :, None], subs[:, None, :]]
-    return np.linalg.det(blocks)
+    return _minor_tree(mat, m)
 
 
 def sym_eigenvalues(s) -> np.ndarray:

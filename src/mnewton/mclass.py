@@ -15,15 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GenerationError, InputError
-from .linalg import (
-    as_matrix,
-    determinant,
-    enumerate_subsets,
-    principal_minors_all,
-)
+from .linalg import as_matrix, determinant, principal_minors_by_mask
 
 P_TEST_MAX_N = 12
-DUAL_CHECK_MAX_N = 10
+DUAL_CHECK_MAX_N = 20
 # relative shifts probed when deciding membership in the singular-M closure
 SINGULAR_PROBE_SHIFTS = (1e-8, 1e-6, 1e-4)
 GENERATOR_KINDS = ("M", "inverse-M", "singular-M", "similarity-conjugated-M")
@@ -64,8 +59,8 @@ class GeneratorSpec:
                 f"unknown generator kind {self.kind!r}; expected one of {GENERATOR_KINDS}")
         if self.n < 1:
             raise InputError("generator order n must be >= 1")
-        if not self.margin > 0:
-            raise InputError("diagonal-dominance margin must be positive")
+        if not 0 < self.margin < math.inf:
+            raise InputError("diagonal-dominance margin must be positive and finite")
 
 
 def _z_violations(a: np.ndarray, tol: float) -> list:
@@ -128,15 +123,14 @@ def classify(a, tol: float = 1e-9) -> MatrixClassReport:
         witnesses.extend(lead_bad)
 
     if n <= P_TEST_MAX_N:
-        is_p: bool | None = True
+        minors = principal_minors_by_mask(mat)
+        bad = np.flatnonzero(minors[1:] <= tol) + 1      # masks of the nonempty sets
+        is_p: bool | None = not bad.size
+        sizes = np.bitwise_count(bad)
         for m in range(1, n + 1):
-            minors = principal_minors_all(mat, m)
-            bad_idx = np.nonzero(minors <= tol)[0]
-            if bad_idx.size:
-                is_p = False
-                subs = enumerate_subsets(n, m)
-                for idx in bad_idx[:_MAX_WITNESSES_PER_SIZE]:
-                    witnesses.append((subs[int(idx)], float(minors[int(idx)])))
+            for mask in bad[sizes == m][:_MAX_WITNESSES_PER_SIZE].tolist():
+                alpha = tuple(i + 1 for i in range(n) if mask >> i & 1)
+                witnesses.append((alpha, float(minors[mask])))
     else:
         is_p = True if (is_z and nonsing) else None
 
@@ -216,8 +210,9 @@ def dual_minor_identity_check(a, tol: float = 1e-8) -> bool:
     exactly 0.0 by its relative pivot test) or a non-finite deviation
     (overflow in the minors or the determinant) raises InputError.
 
-    Complementing a bitmask reverses colex order, so the complements of the
-    size-m subsets, in order, are the size-(n-m) subsets in reverse.
+    Both sides come from one Schur-complement tree each, indexed by
+    bitmask; the complement of mask S is 2^n - 1 - S, so reversing the
+    minors of A lines each complement up with its set.
     """
     mat = as_matrix(a)
     n = mat.shape[0]
@@ -226,14 +221,10 @@ def dual_minor_identity_check(a, tol: float = 1e-8) -> bool:
     det = determinant(mat)
     if det == 0.0:
         raise InputError("matrix is singular (negligible pivot in elimination)")
-    inv = np.linalg.inv(mat)
-    worst = 0.0
-    for m in range(n + 1):
-        lhs = principal_minors_all(inv, m)
-        rhs = principal_minors_all(mat, n - m)[::-1] / det
-        dev = np.abs(lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-        if not np.all(np.isfinite(dev)):
-            raise InputError(
-                "dual minor check: non-finite deviation (minor or determinant overflow)")
-        worst = max(worst, float(np.max(dev)))
-    return worst <= tol
+    lhs = principal_minors_by_mask(np.linalg.inv(mat))
+    rhs = principal_minors_by_mask(mat)[::-1] / det
+    dev = np.abs(lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    if not np.all(np.isfinite(dev)):
+        raise InputError(
+            "dual minor check: non-finite deviation (minor or determinant overflow)")
+    return float(np.max(dev)) <= tol

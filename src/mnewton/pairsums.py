@@ -8,6 +8,7 @@ in :func:`expansion_identity_check` come out exactly; it is fixed globally.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,9 +17,9 @@ import numpy as np
 
 from .charcoeff import normalized_coeffs
 from .errors import InputError
-from .linalg import as_matrix, principal_minors_all
+from .linalg import as_matrix, principal_minors_by_mask
 
-PAIR_SUM_ORDER_CAP = 20
+PAIR_SUM_ORDER_CAP = 22
 
 
 def feasible_pair_params(n: int, m1: int, m2: int, k: int) -> bool:
@@ -53,12 +54,15 @@ class MinorPairSums:
     ``S_t = sum over |g| = t of U_x(g) U_y(g)`` satisfy
     ``S_t = sum_k C(k,t) P_k``, and the binomial inversion
     ``P_k = sum_{t>=k} (-1)^(t-k) C(t,k) S_t`` gives the overlap profile
-    P.  The up-sums of size m live in one array of 2^n floats indexed by
-    bitmask: the size-m minors sit at the masks of popcount m, and one
-    superset-sum (Yates zeta) pass, ``f[mask] += f[mask | bit]`` for each
-    bit, counts every superset once in n*2^(n-1) additions.  Each size is
-    transformed once and cached; every reduction runs in a fixed order,
-    so repeated runs produce bit-identical sums.
+    P.  All 2^n minors come from one Schur-complement tree, indexed by
+    bitmask.  The up-sums of size m live in one array of 2^n floats: the
+    size-m minors sit at the masks of popcount m, and one superset-sum
+    (Yates zeta) pass, ``f[mask] += f[mask | bit]`` for each bit, counts
+    every superset once in n*2^(n-1) additions.  Transforming size m keeps
+    only the cached sizes within one of m, so at most three are held, and
+    the split checks, walking m upward, transform each size once; every
+    reduction runs in a fixed order, so repeated runs produce bit-identical
+    sums.
     """
 
     def __init__(self, a, override_cap: bool = False):
@@ -67,24 +71,29 @@ class MinorPairSums:
         if self.n > PAIR_SUM_ORDER_CAP and not override_cap:
             raise InputError(
                 f"pair sums capped at n <= {PAIR_SUM_ORDER_CAP} "
-                "(memory is about (n+1)*2^n floats); "
+                "(memory is about 6*2^n floats); "
                 "pass override_cap=True to force")
         self._sizes = np.bitwise_count(np.arange(1 << self.n))   # popcount of each mask
         self._ups: dict[int, np.ndarray] = {}
         self._profiles: dict[tuple[int, int], np.ndarray] = {}
 
+    @functools.cached_property
+    def _minors(self) -> np.ndarray:
+        """All 2^n principal minors, indexed by bitmask (built on first use)."""
+        return principal_minors_by_mask(self.matrix)
+
     def minors(self, m: int) -> np.ndarray:
         """The size-m principal minors in colex order (increasing-mask order)."""
-        return self._up_sums(m)[self._sizes == m]
+        return self._minors[self._sizes == m]
 
     def _up_sums(self, m: int) -> np.ndarray:
         """U(g) = sum of the size-m minors over the supersets of g, at every mask g."""
         if m not in self._ups:
-            u = np.zeros(1 << self.n)
-            u[self._sizes == m] = principal_minors_all(self.matrix, m)
+            u = np.where(self._sizes == m, self._minors, 0.0)
             for i in range(self.n):
                 v = u.reshape(-1, 2, 1 << i)
                 v[:, 0] += v[:, 1]
+            self._ups = {s: w for s, w in self._ups.items() if abs(s - m) <= 1}
             self._ups[m] = u
         return self._ups[m]
 
@@ -98,7 +107,8 @@ class MinorPairSums:
         key = (m1, m2)
         if key not in self._profiles:
             kmin, kmax = max(0, m1 + m2 - self.n), min(m1, m2)
-            prod = self._up_sums(m1) * self._up_sums(m2)
+            low = self._up_sums(min(m1, m2))     # before the larger size evicts it
+            prod = low * self._up_sums(max(m1, m2))
             moments = {t: float(prod[self._sizes == t].sum()) for t in range(kmin, kmax + 1)}
             if not all(map(math.isfinite, moments.values())):
                 raise InputError(f"pair sums of sizes ({m1}, {m2}) overflow")

@@ -1,12 +1,15 @@
 """Helpers that only the tests use: scalar minors on 1-based index sets,
+batched and exact minors as oracles of the Schur-complement tree,
 brute-force minor sums, and polynomial roots by a companion matrix."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 from mnewton.errors import InputError
-from mnewton.linalg import as_matrix, determinant, principal_minors_all
+from mnewton.linalg import as_matrix, determinant, enumerate_subsets
 
 # brute-force minor enumeration bound (2^n determinants); override allowed.
 EXHAUSTIVE_MINOR_CAP = 16
@@ -39,6 +42,45 @@ def principal_minor(a, alpha) -> float:
     return determinant(m[np.ix_(idx, idx)])
 
 
+def principal_minors_batched(a, m: int) -> np.ndarray:
+    """Size-m principal minors in colex order, by one batched LAPACK ``det``
+    over the gathered blocks (the route the tree replaced)."""
+    mat = as_matrix(a)
+    idx = np.array(enumerate_subsets(mat.shape[0], m), dtype=np.intp) - 1
+    return np.linalg.det(mat[idx[:, :, None], idx[:, None, :]])
+
+
+def exact_determinant(rows) -> Fraction:
+    """Determinant of a square list of Fractions by exact elimination."""
+    u = [list(r) for r in rows]
+    det = Fraction(1)
+    for k in range(len(u)):
+        r = next((i for i in range(k, len(u)) if u[i][k] != 0), None)
+        if r is None:
+            return Fraction(0)
+        if r != k:
+            u[k], u[r] = u[r], u[k]
+            det = -det
+        det *= u[k][k]
+        for i in range(k + 1, len(u)):
+            f = u[i][k] / u[k][k]
+            for j in range(k + 1, len(u)):
+                u[i][j] -= f * u[k][j]
+    return det
+
+
+def exact_minors_by_mask(a) -> list[Fraction]:
+    """All 2^n principal minors of the float matrix, exactly, indexed by bitmask."""
+    mat = as_matrix(a)
+    n = mat.shape[0]
+    exact = [[Fraction(float(x)) for x in row] for row in mat]
+    out = []
+    for mask in range(1 << n):
+        idx = [i for i in range(n) if mask >> i & 1]
+        out.append(exact_determinant([[exact[i][j] for j in idx] for i in idx]))
+    return out
+
+
 def minor_sums_exhaustive(a, override_cap: bool = False) -> np.ndarray:
     """E_j by direct enumeration of all principal minors (the oracle path)."""
     mat = as_matrix(a)
@@ -47,7 +89,7 @@ def minor_sums_exhaustive(a, override_cap: bool = False) -> np.ndarray:
         raise InputError(
             f"exhaustive minor enumeration capped at n <= {EXHAUSTIVE_MINOR_CAP}; "
             "pass override_cap=True to force")
-    return np.array([float(principal_minors_all(mat, j).sum()) for j in range(n + 1)])
+    return np.array([float(principal_minors_batched(mat, j).sum()) for j in range(n + 1)])
 
 
 def companion_matrix(coeffs) -> np.ndarray:

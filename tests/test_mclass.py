@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,12 @@ def test_generator_spec_validation():
         GeneratorSpec("M", 4, 0, margin=0.0)
 
 
+@pytest.mark.parametrize("margin", [math.inf, -math.inf, math.nan])
+def test_generator_spec_rejects_non_finite_margin(margin):
+    with pytest.raises(InputError, match="margin must be positive and finite"):
+        GeneratorSpec("M", 3, 1, margin=margin)
+
+
 def test_dual_minor_identity_examples():
     assert dual_minor_identity_check(np.eye(4))
     assert dual_minor_identity_check(np.array([[2.0, -1.0], [-1.0, 2.0]]))
@@ -185,11 +193,19 @@ def test_dual_minor_identity_inverse_m_small_determinant():
         assert dual_minor_identity_check(a), seed
 
 
+@pytest.mark.parametrize("n", [16, 20])
+def test_dual_minor_identity_at_sixteen_and_twenty(n):
+    for kind in ("M", "inverse-M", "similarity-conjugated-M"):
+        for seed in (0, 1):
+            assert dual_minor_identity_check(generate(GeneratorSpec(kind, n, seed))), \
+                (kind, seed)
+
+
 def test_dual_minor_identity_rejects_singular_and_oversized():
     with pytest.raises(InputError):
         dual_minor_identity_check(np.array([[1.0, -1.0], [-1.0, 1.0]]))
     with pytest.raises(InputError):
-        dual_minor_identity_check(np.eye(11))
+        dual_minor_identity_check(np.eye(21))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -77,8 +77,15 @@ def test_pair_sum_infeasible_is_zero():
 
 def test_pair_sum_order_cap():
     with pytest.raises(InputError):
-        MinorPairSums(np.eye(21))
-    MinorPairSums(np.eye(21), override_cap=True)
+        MinorPairSums(np.eye(23))
+    MinorPairSums(np.eye(23), override_cap=True)
+
+
+def test_pair_sums_accept_order_twenty_one():
+    a = generate(GeneratorSpec("M", 21, 0))
+    sums = MinorPairSums(a)
+    assert sums.n == 21
+    assert ratio_check(a, 10, 9, sums=sums).holds
 
 
 def test_identity_pair_count_examples():
