@@ -90,6 +90,7 @@ CASES = {
     "gen-similarity-text": ["gen", "--kind", "similarity-conjugated-M", "--n", "3",
                             "--seed", "2", "--format", "text"],
     "gen-missing-seed": ["gen", "--kind", "M", "--n", "4"],
+    "gen-margin-inf": ["gen", "--kind", "M", "--n", "3", "--seed", "1", "--margin", "inf"],
     "gen-bad-kind": ["gen", "--input", "inputs/gen_badkind.json"],
 }
 
