@@ -12,6 +12,7 @@ package.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -20,6 +21,10 @@ from .errors import InputError
 
 # |pivot| <= PIVOT_RTOL * maxabs(pivot row) is treated as an exact zero.
 PIVOT_RTOL = 1e-13
+# the Schur-complement tree does not pivot: it rejects a pivot with
+# |pivot| <= TREE_PIVOT_RTOL * maxabs(pivot row), so an accepted step grows the
+# complement's entries by at most a factor 1 + 1 / TREE_PIVOT_RTOL.
+TREE_PIVOT_RTOL = 1e-2
 # allowed asymmetry for the symmetric eigensolver, relative to maxabs.
 SYMMETRY_RTOL = 1e-12
 
@@ -81,28 +86,37 @@ def subset_masks(n: int, m: int) -> np.ndarray:
 
 def _colex_masks(n: int, m: int) -> np.ndarray:
     """Kernel of :func:`subset_masks`, kept private for ``FormMatrix.entries``
-    and :func:`enumerate_subsets`.
-
-    Colex order is increasing-bitmask order, so by Pascal's rule the
-    size-r masks over {1..k} are those over {1..k-1} followed by the
-    size-(r-1) ones with bit k-1 set.  Sizes that can no longer reach m
-    are dropped as k grows.
+    and :func:`enumerate_subsets`: the last level of :func:`_colex_levels`.
     """
-    if n > 64:
-        raise InputError("bitmask subset encoding supports n <= 64")
     if n < 0 or m < 0:
         raise InputError("subset parameters must be nonnegative")
     if m > n:
         raise InputError(f"cannot choose {m} elements from {n}")
-    empty = np.zeros(0, dtype=np.uint64)
-    by_size = [np.zeros(1, dtype=np.uint64)] + [empty] * m
-    for k in range(1, n + 1):
-        bit = np.uint64(1 << (k - 1))
-        lo = max(0, m - (n - k))
-        by_size = [empty] * lo + [
-            np.concatenate((by_size[r], by_size[r - 1] | bit)) if r else by_size[0]
-            for r in range(lo, m + 1)]
-    return by_size[m]
+    masks = np.zeros(1, dtype=np.uint64)
+    for _, _, masks in _colex_levels(n, m):
+        pass
+    return masks
+
+
+def _colex_levels(n: int, m: int):
+    """The subsets of {0..n-1} that can end at size m, one element at a time.
+
+    Colex order is increasing-bitmask order, so by Pascal's rule the masks
+    over {0..k} are those over {0..k-1} followed by the same ones with bit
+    k set.  Level k yields ``(stay, grow, masks)``: of the masks over
+    {0..k-1}, ``stay`` selects those that can still reach size m without
+    element k and ``grow`` those below size m, and ``masks`` is
+    ``[masks[stay], masks[grow] | bit k]``.  After the last level the masks
+    are the size-m subsets in colex order.
+    """
+    if n > 64:
+        raise InputError("bitmask subset encoding supports n <= 64")
+    masks = np.zeros(1, dtype=np.uint64)
+    for k in range(n):
+        size = np.bitwise_count(masks)
+        stay, grow = size >= m - (n - 1 - k), size < m
+        masks = np.concatenate((masks[stay], masks[grow] | np.uint64(1 << k)))
+        yield stay, grow, masks
 
 
 def _mask_elements(masks: np.ndarray, n: int) -> np.ndarray:
@@ -120,34 +134,32 @@ def _minor_tree(mat: np.ndarray, m: int | None = None) -> np.ndarray:
     complement A/A[S] on {k..n-1}; with the pivot p = (A/A[S])_kk,
     det A[S + {k}] = det A[S] * p, and eliminating p gives the complement
     of S + {k}.  The children are stacked [exclude, include], so the stack
-    index is the bitmask.  With ``m`` given, the masks are tracked and only
-    the branches that can end at size m grow: a set of size m is not
-    extended, and one that can no longer reach m is dropped.
+    index is the bitmask.  With ``m`` given, the branches follow
+    :func:`_colex_levels`: a set of size m is not extended, and one that can
+    no longer reach m is dropped.
 
-    A pivot with ``|p| <= PIVOT_RTOL * maxabs(its complement row)`` (a zero
-    row included) is rejected, as in :func:`determinant`: det A[S] * p is
-    still exact, but the minors below it are recomputed by batched ``det``
-    on their blocks.  The last element forms no complement, so it rejects
-    nothing.
+    The tree does not pivot, so a pivot with
+    ``|p| <= TREE_PIVOT_RTOL * maxabs(its complement row)`` (a zero row
+    included) is rejected: it would let the complement's entries grow
+    beyond round-off control.  det A[S] * p is still exact, but the minors
+    below it are recomputed by batched (row-pivoted) ``det`` on their
+    blocks.  The last element forms no complement, so it rejects nothing.
     """
     n = mat.shape[0]
-    masks = np.zeros(1, dtype=np.uint64)
+    levels = _colex_levels(n, m) if m is not None else \
+        itertools.repeat((slice(None), slice(None), None))
     minors = np.ones(1)
     comp = mat[None]
     stale = np.zeros(1, dtype=bool)   # complement unusable: a pivot above was rejected
     redo = np.zeros(1, dtype=bool)    # minor to recompute by batched det
-    stay = grow = slice(None)
-    for k in range(n):
-        if m is not None:
-            size = np.bitwise_count(masks)
-            stay, grow = size >= m - (n - 1 - k), size < m
-            masks = np.concatenate((masks[stay], masks[grow] | np.uint64(1 << k)))
+    masks = None
+    for k, (stay, grow, masks) in zip(range(n), levels):
         top = comp[grow]
         piv = top[:, 0, 0]
         minors = np.concatenate((minors[stay], minors[grow] * piv))
         redo = np.concatenate((redo[stay], (redo | stale)[grow]))
         if k < n - 1:
-            reject = np.abs(piv) <= PIVOT_RTOL * np.max(np.abs(top[:, 0]), axis=1)
+            reject = np.abs(piv) <= TREE_PIVOT_RTOL * np.max(np.abs(top[:, 0]), axis=1)
             scaled = top[:, :1, 1:] / np.where(reject, 1.0, piv)[:, None, None]
             inc = top[:, 1:, 1:] - top[:, 1:, :1] * scaled
             inc[reject] = 0.0
@@ -155,9 +167,9 @@ def _minor_tree(mat: np.ndarray, m: int | None = None) -> np.ndarray:
             stale = np.concatenate((stale[stay], reject))
     if redo.any():
         where = np.flatnonzero(redo)
-        sub = where.astype(np.uint64) if m is None else masks[where]
+        sub = where.astype(np.uint64) if masks is None else masks[where]
         sizes = np.bitwise_count(sub)
-        for r in np.unique(sizes):
+        for r in set(sizes.tolist()):
             idx = _mask_elements(sub[sizes == r], n)
             minors[where[sizes == r]] = np.linalg.det(mat[idx[:, :, None], idx[:, None, :]])
     return minors

@@ -141,19 +141,10 @@ def _hadamard_bounds(a):
     return out
 
 
-def test_minor_tree_pivot_examples():
-    # a zero first pivot: without the fallback the full set would be nan
-    assert principal_minors_by_mask([[0.0, 1.0], [1.0, 0.0]]).tolist() == [1.0, 0.0, 0.0, -1.0]
-    assert principal_minors_by_mask(np.zeros((4, 4))).tolist() == [1.0] + [0.0] * 15
-    # the Schur complement of A[{1}] has a zero pivot at element 2 (mid-tree):
-    # det A[{1,2}] = 1 * 0 stays exact, det A[{1,2,3}] = -3 comes from the fallback
-    a = np.array([[1.0, 1.0, 2.0], [1.0, 1.0, 3.0], [2.0, 5.0, 1.0]])
-    got = principal_minors_by_mask(a)
-    assert np.all(np.isfinite(got))
-    assert got[0b011] == 0.0
-    assert got[0b111] == pytest.approx(-3.0, rel=1e-14)
-    assert [principal_minors_all(a, m).tolist() for m in range(4)] == \
-        [got[_popcounts(3) == m].tolist() for m in range(4)]
+def _tiny_first_pivot(delta, eta=4e-7):
+    """det = eta * (1 - delta); without pivoting the first pivot delta blows the
+    complement up to 1 - 1/delta and the full-set minor is lost in round-off."""
+    return np.array([[delta, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0 - eta]])
 
 
 def test_minor_tree_matches_exact_minors():
@@ -162,9 +153,25 @@ def test_minor_tree_matches_exact_minors():
     # prod_i |A[S]_i| (Gaussian, n = 10), and <= 1.4e-15 relative for every
     # P-matrix minor.  The full set of singular-M is round-off around 0, so
     # only the Hadamard bound applies to it.
+    # a zero first pivot: without the fallback the full set would be nan
+    assert principal_minors_by_mask([[0.0, 1.0], [1.0, 0.0]]).tolist() == [1.0, 0.0, 0.0, -1.0]
+    assert principal_minors_by_mask(np.zeros((4, 4))).tolist() == [1.0] + [0.0] * 15
+    # the Schur complement of A[{1}] has a zero pivot at element 2 (mid-tree):
+    # det A[{1,2}] = 1 * 0 stays exact, det A[{1,2,3}] = -3 comes from the fallback
+    mid = np.array([[1.0, 1.0, 2.0], [1.0, 1.0, 3.0], [2.0, 5.0, 1.0]])
+    got = principal_minors_by_mask(mid)
+    assert got[0b011] == 0.0
+    assert got[0b111] == pytest.approx(-3.0, rel=1e-14)
+    # tiny first pivots, which the parent's row-pivoted det handles: the
+    # full-set minor read 0.0 for delta = 1e-10 while the growth was unbounded
+    for k in range(1, 13):
+        a = _tiny_first_pivot(10.0 ** -k)
+        exact = float(exact_minors_by_mask(a)[0b111])
+        assert principal_minors_by_mask(a)[0b111] == pytest.approx(exact, rel=1e-8), k
     rng = np.random.default_rng(8)
-    cases = [np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros((3, 3)),
-             np.array([[1.0, 1.0, 2.0], [1.0, 1.0, 3.0], [2.0, 5.0, 1.0]])]
+    cases = [np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros((3, 3)), mid,
+             _tiny_first_pivot(1e-10), 2.0 ** 40 * _tiny_first_pivot(1e-6),
+             2.0 ** -40 * _tiny_first_pivot(1e-12)]
     for n in (1, 2, 5, 8, 10):
         cases.append(rng.standard_normal((n, n)))
         for kind in ("M", "inverse-M", "singular-M"):
@@ -177,7 +184,11 @@ def test_minor_tree_matches_exact_minors():
     for a in cases:
         got = principal_minors_by_mask(a)
         exact = np.array([float(x) for x in exact_minors_by_mask(a)])
+        assert np.all(np.isfinite(got))
         assert np.all(np.abs(got - exact) <= 1e-12 * _hadamard_bounds(a)), a.shape
+        sizes = _popcounts(a.shape[0])
+        assert [principal_minors_all(a, m).tolist() for m in range(a.shape[0] + 1)] == \
+            [got[sizes == m].tolist() for m in range(a.shape[0] + 1)], a.shape
 
 
 def test_minor_tree_matches_batched_det():
@@ -209,6 +220,8 @@ def test_small_size_minors_at_forty_stay_small():
     assert peak < 4 * 2 ** 20      # measured 2.0 MB; all 2^40 minors would take 8 TiB
     assert got.size == math.comb(40, 2)
     assert np.allclose(got, principal_minors_batched(a, 2), rtol=1e-13, atol=0.0)
+    with pytest.raises(InputError):
+        principal_minors_all(np.eye(65), 1)        # bitmasks hold n <= 64
 
 
 def test_enumerate_subsets_examples():

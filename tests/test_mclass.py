@@ -45,6 +45,11 @@ def test_classify_not_m_with_witness():
     assert rep.is_z
     assert rep.m_class == NOT_M
     assert any(value <= 0 for _, value in rep.witnesses)
+    # det = 4e-7 * (1 - delta) > 0 behind a tiny first pivot delta: the full
+    # set is no witness, although the first three are
+    for k in range(1, 13):
+        rep = classify(np.array([[10.0 ** -k, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0 - 4e-7]]))
+        assert rep.witnesses and all(alpha != (1, 2, 3) for alpha, _ in rep.witnesses), k
 
 
 def test_generate_is_deterministic():
@@ -164,6 +169,11 @@ def test_dual_minor_identity_examples():
     assert dual_minor_identity_check(np.eye(4))
     assert dual_minor_identity_check(np.array([[2.0, -1.0], [-1.0, 2.0]]))
     assert dual_minor_identity_check(np.diag([1.0, 2.0, 3.0]))
+    # a tiny first pivot delta, det = 1e-3 * (1 - delta); at det = 4e-7 inv(A)'s
+    # 2x2 minors would cancel in round-off on any route
+    for k in range(1, 13):
+        assert dual_minor_identity_check(
+            np.array([[10.0 ** -k, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 0.999]])), k
 
 
 def test_dual_minor_identity_spot_values():
