@@ -22,7 +22,6 @@ from .linalg import (
     determinant,
     enumerate_subsets,
     principal_minors_all,
-    sym_eigenvalues,
 )
 from .mclass import (
     GeneratorSpec,
@@ -91,5 +90,4 @@ __all__ = [
     "ratio_check",
     "screen",
     "structure_checks",
-    "sym_eigenvalues",
 ]

@@ -24,8 +24,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=1e-9, help="check tolerance")
     common.add_argument("--format", choices=("json", "text"), default="json")
-    common.add_argument("--override-caps", action="store_true",
-                        help="lift the size caps on exhaustive computations")
 
     p = argparse.ArgumentParser(
         prog="mnewton",
@@ -52,6 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
     sf.add_argument("--input", required=True, help="matrix JSON file")
     sf.add_argument("--m", type=int, help="split size m (all feasible when omitted)")
     sf.add_argument("--k", type=int, help="overlap k (all feasible when omitted)")
+    sf.add_argument("--override-caps", action="store_true",
+                    help="lift the matrix order cap on the pair sums")
 
     fo = sub.add_parser("forms", parents=[common],
                         help="build a subset-overlap form, check PSD and structure")
@@ -168,15 +168,16 @@ def _cmd_sfunc(args):
 
 
 def _cmd_forms(args):
-    form = forms.build_form(args.n, args.m, args.kind,
-                            override_cap=args.override_caps)
+    form = forms.build_form(args.n, args.m, args.kind)
     is_psd, min_eig = forms.psd_check(form, tol=max(args.tol, 1e-12))
     structure = forms.structure_checks(args.n, args.m, tol=max(args.tol, 1e-12))
+    # both exports are built before a target is opened: one over the cap writes no file
+    text = args.export_json and serialize.dumps_report(serialize.form_to_dict(form))
     if args.export_csv:
         serialize.form_to_csv(form, args.export_csv)
-    if args.export_json:
+    if text:
         with open(args.export_json, "w", encoding="utf-8") as fh:
-            fh.write(serialize.dumps_report(serialize.form_to_dict(form)))
+            fh.write(text)
     ok = is_psd and structure.ok
     return ok, {
         "command": "forms",

@@ -11,8 +11,8 @@ All four form matrices are indexed by the colex-ordered size-m subsets of
 The forms are real symmetric, so real-spectrum PSD checking decides
 semidefiniteness of the associated Hermitian forms.  A form is stored as
 (n, m, kind): its eigenvalues are exact sums of the overlap weights
-against Eberlein polynomials, and dense entries exist only for export,
-quadratic evaluation and test oracles.
+against Eberlein polynomials.  Dense entries, from one capped builder,
+exist only for export, quadratic evaluation and test oracles.
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ import numpy as np
 from .errors import InputError
 from .linalg import (
     _colex_masks,
-    as_matrix,
     principal_minors_all,  # noqa: F401  (bench/tests checks that the tracer patches it here)
-    sym_eigenvalues,
 )
 
 FORM_KINDS = ("phi", "tilde_phi", "tilde_psi", "psi")
@@ -97,7 +95,7 @@ class FormMatrix:
 
     @property
     def entries(self) -> np.ndarray:
-        """Dense C(n,m) x C(n,m) symmetric matrix, materialized on each access."""
+        """Dense C(n,m) x C(n,m) symmetric matrix, built on each access (capped)."""
         return self.weights[_overlaps(self.n, self.m)]
 
 
@@ -107,9 +105,13 @@ def overlap_matrix(n: int, m: int) -> np.ndarray:
 
 
 def _overlaps(n: int, m: int) -> np.ndarray:
-    # Reading FormMatrix.entries must call no public function: the span
-    # tracer in bench/tracing.py reads it from a count hook that holds the
-    # tracer's non-reentrant lock, so a traced call from there deadlocks.
+    # The one dense builder (entries, exports, quadratic_apply), so the one
+    # place the cap is kept.  It calls no public function: the span tracer in
+    # bench/tracing.py reads entries from a count hook that holds the tracer's
+    # non-reentrant lock, so a traced call from there deadlocks.
+    if 0 <= m <= n and math.comb(n, m) > FORM_DIMENSION_CAP:
+        raise InputError(f"dense form dimension C({n},{m}) exceeds cap "
+                         f"{FORM_DIMENSION_CAP} (bitmask subsets need n <= 64)")
     masks = _colex_masks(n, m)
     return np.bitwise_count(masks[:, None] & masks[None, :]).astype(np.int64)
 
@@ -119,35 +121,20 @@ def _check_order(n: int, m: int) -> None:
         raise InputError(f"need 1 <= m <= n-1, got m = {m} with n = {n}")
 
 
-def build_form(n: int, m: int, kind: str, override_cap: bool = False) -> FormMatrix:
-    """Build the overlap-indexed form matrix of the given kind on size-m subsets.
-
-    The dimension cap guards the dense entries that exports materialize.
-    """
+def build_form(n: int, m: int, kind: str) -> FormMatrix:
+    """Overlap-indexed form of the given kind on size-m subsets; builds nothing dense."""
     if kind not in FORM_KINDS:
         raise InputError(f"unknown form kind {kind!r}; expected one of {FORM_KINDS}")
     _check_order(n, m)
-    dim = math.comb(n, m)
-    if dim > FORM_DIMENSION_CAP and not override_cap:
-        raise InputError(
-            f"form dimension C({n},{m}) = {dim} exceeds cap {FORM_DIMENSION_CAP}; "
-            "pass override_cap=True to force")
     return FormMatrix(n, m, kind)
 
 
-def psd_check(form, tol: float = 1e-8) -> tuple[bool, float]:
-    """(is_psd, min_eigenvalue), with threshold ``-tol * maxabs(entries)``.
-
-    A :class:`FormMatrix` is judged by its exact minimum Johnson-scheme
-    eigenvalue; any other symmetric matrix by a dense eigen-solve.
-    """
-    if isinstance(form, FormMatrix):
-        min_eig = float(min(form.eigenvalues))
-        maxabs = float(np.max(np.abs(form.weights[_lowest_overlap(form.n, form.m):])))
-    else:
-        entries = as_matrix(form)
-        min_eig = float(sym_eigenvalues(entries)[0])
-        maxabs = float(np.max(np.abs(entries)))
+def psd_check(form: FormMatrix, tol: float = 1e-8) -> tuple[bool, float]:
+    """(is_psd, min_eigenvalue) from the exact minimum Johnson-scheme eigenvalue,
+    with threshold ``-tol * maxabs(entries)`` read off the weights of the
+    overlaps that occur: no dense matrix is built, so no cap applies."""
+    min_eig = float(min(form.eigenvalues))
+    maxabs = float(np.max(np.abs(form.weights[_lowest_overlap(form.n, form.m):])))
     return min_eig >= -tol * maxabs, min_eig
 
 

@@ -25,8 +25,6 @@ PIVOT_RTOL = 1e-13
 # |pivot| <= TREE_PIVOT_RTOL * maxabs(pivot row), so an accepted step grows the
 # complement's entries by at most a factor 1 + 1 / TREE_PIVOT_RTOL.
 TREE_PIVOT_RTOL = 1e-2
-# allowed asymmetry for the symmetric eigensolver, relative to maxabs.
-SYMMETRY_RTOL = 1e-12
 
 
 def as_matrix(a) -> np.ndarray:
@@ -196,20 +194,6 @@ def principal_minors_all(a, m: int) -> np.ndarray:
     if not 0 <= m <= n:
         raise InputError(f"minor size {m} out of range 0..{n}")
     return _minor_tree(mat, m)
-
-
-def sym_eigenvalues(s) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending.
-
-    Input must be symmetric within ``1e-12 * maxabs``; it is symmetrized
-    before the solve so round-off asymmetry cannot leak into the spectrum.
-    """
-    m = as_matrix(s)
-    scale = float(np.max(np.abs(m)))
-    asym = float(np.max(np.abs(m - m.T)))
-    if asym > SYMMETRY_RTOL * max(scale, np.finfo(float).tiny):
-        raise InputError(f"matrix is not symmetric within tolerance (asymmetry {asym:g})")
-    return np.linalg.eigvalsh(0.5 * (m + m.T))
 
 
 def binomials(n: int) -> np.ndarray:

@@ -121,29 +121,26 @@ def form_to_csv(form: FormMatrix, path) -> None:
         csv.writer(fh).writerows(rows)
 
 
-def jsonable(obj):
-    """Recursively convert reports to plain JSON-serializable values."""
+def _encode(obj):
+    """``json.dumps`` hook for the report values that are not plain JSON."""
     if is_dataclass(obj) and not isinstance(obj, type):
-        return jsonable(asdict(obj))
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
+        return asdict(obj)
     if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def jsonable(obj):
+    """The report as plain JSON values, in field order (what ``--format text`` renders)."""
+    return json.loads(json.dumps(obj, default=_encode))
 
 
 def dumps_report(report: dict) -> str:
     """Deterministic JSON: sorted keys, fixed layout, repr-exact floats."""
-    return json.dumps(jsonable(report), indent=2, sort_keys=True)
+    return json.dumps(report, default=_encode, indent=2, sort_keys=True)

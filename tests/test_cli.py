@@ -108,6 +108,26 @@ def test_forms_psd_and_exports(capsys, tmp_path):
     assert exported["kind"] == "psi" and len(exported["entries"]) == 10
 
 
+def test_forms_over_dense_cap_reports_but_exports_nothing(capsys, tmp_path):
+    code, out, _ = run(capsys, ["forms", "--n", "60", "--m", "30"])
+    assert code == EXIT_OK
+    assert json.loads(out)["is_psd"] is True
+    for flag in ("--export-csv", "--export-json"):
+        target = tmp_path / "x"
+        code, out, err = run(capsys, ["forms", "--n", "16", "--m", "8", flag, str(target)])
+        assert code == EXIT_USAGE and not out
+        assert "exceeds cap 5000" in err
+        assert not target.exists()
+
+
+def test_override_caps_only_on_sfunc(capsys, m_matrix_file):
+    code, out, _ = run(capsys, ["sfunc", "--input", m_matrix_file, "--override-caps"])
+    assert code == EXIT_OK and json.loads(out)["holds"] is True
+    code, _, err = run(capsys, ["classify", "--input", m_matrix_file, "--override-caps"])
+    assert code == EXIT_USAGE
+    assert "--override-caps" in err
+
+
 def test_identity_command(capsys):
     code, out, _ = run(capsys, ["identity", "--n", "12", "--m", "5"])
     assert code == EXIT_OK

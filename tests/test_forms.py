@@ -10,6 +10,7 @@ from mnewton.charcoeff import newton_check, normalized_coeffs
 from mnewton.errors import InputError
 from mnewton.forms import (
     FORM_KINDS,
+    FormMatrix,
     binomial_identity_sum,
     build_form,
     incidence_matrix,
@@ -18,9 +19,10 @@ from mnewton.forms import (
     quadratic_apply,
     structure_checks,
 )
-from mnewton.linalg import principal_minors_all, sym_eigenvalues
+from mnewton.linalg import principal_minors_all
 from mnewton.mclass import GeneratorSpec, generate
 from mnewton.pairsums import MinorPairSums
+from mnewton.serialize import form_to_csv, form_to_dict
 
 
 def test_build_form_psi_2_1():
@@ -58,8 +60,21 @@ def test_build_form_validation():
     with pytest.raises(InputError):
         build_form(4, 2, "nope")
     with pytest.raises(InputError):
-        build_form(16, 8, "psi")   # C(16,8) = 12870 over the cap
-    build_form(16, 8, "psi", override_cap=True)
+        build_form(16, 8, "psi").entries   # C(16,8) = 12870 over the dense cap
+
+
+def test_dense_builder_caps_every_dense_route(tmp_path):
+    # C(15,6) = 5005 is just over the cap; the form itself and its checks are uncapped
+    f = build_form(15, 6, "psi")
+    assert psd_check(f)[0] and structure_checks(15, 6).ok
+    for dense in (lambda: f.entries, lambda: overlap_matrix(15, 6),
+                  lambda: quadratic_apply(f, np.ones(f.dim)), lambda: form_to_dict(f),
+                  lambda: form_to_csv(f, tmp_path / "f.csv")):
+        with pytest.raises(InputError, match=r"exceeds cap 5000 .*n <= 64"):
+            dense()
+    assert not (tmp_path / "f.csv").exists()
+    with pytest.raises(InputError, match="exceeds cap"):
+        FormMatrix(30, 15, "psi").entries
 
 
 def test_psd_check_psi_2_1():
@@ -88,7 +103,7 @@ def test_psd_check_psi_60_30_exact_without_entries():
     # C(60,30) ~ 1.2e17: only the Johnson-scheme route can decide this
     tracemalloc.start()
     try:
-        result = psd_check(build_form(60, 30, "psi", override_cap=True))
+        result = psd_check(build_form(60, 30, "psi"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -104,7 +119,8 @@ def test_psd_check_threshold_uses_occurring_overlaps():
     assert not ok and min_eig == -1.0
     for factor in (0.9, 1.1):
         tol = factor * 0.5
-        assert psd_check(f, tol)[0] == psd_check(f.entries, tol)[0] == (factor > 1)
+        dense = np.linalg.eigvalsh(f.entries)[0] >= -tol * np.max(np.abs(f.entries))
+        assert psd_check(f, tol)[0] == dense == (factor > 1)
 
 
 def test_psd_check_all_kinds_small_orders():
@@ -126,7 +142,7 @@ def test_tilde_phi_has_single_positive_eigenvalue():
     for n in range(2, 9):
         for m in range(1, n):
             f = build_form(n, m, "tilde_phi")
-            eigs = sym_eigenvalues(f.entries)
+            eigs = np.linalg.eigvalsh(f.entries)
             scale = float(np.max(np.abs(f.entries)))
             assert int(np.sum(eigs > 1e-8 * scale)) == 1
             assert np.all(eigs[:-1] <= 1e-8 * scale)
@@ -139,7 +155,7 @@ def test_psi_null_vector_and_minimum_together():
             e = np.ones(f.dim)
             scale = float(np.max(np.abs(f.entries)))
             assert np.max(np.abs(f.entries @ e)) <= 1e-9 * scale
-            assert sym_eigenvalues(f.entries)[0] >= -1e-9 * scale
+            assert np.linalg.eigvalsh(f.entries)[0] >= -1e-9 * scale
 
 
 def test_structure_checks_2_1():

@@ -17,7 +17,6 @@ from mnewton.linalg import (
     principal_minors_all,
     principal_minors_by_mask,
     subset_masks,
-    sym_eigenvalues,
 )
 from mnewton.mclass import GeneratorSpec, generate
 
@@ -289,27 +288,6 @@ def test_subset_masks_validation():
     for n, m in ((65, 1), (3, 4), (3, -1)):
         with pytest.raises(InputError):
             subset_masks(n, m)
-
-
-def test_sym_eigenvalues_examples():
-    assert np.allclose(sym_eigenvalues(np.eye(3)), [1, 1, 1])
-    assert np.allclose(sym_eigenvalues([[1.0, -1.0], [-1.0, 1.0]]), [0, 2], atol=1e-12)
-    assert np.allclose(sym_eigenvalues(np.diag([3.0, 1.0, 2.0])), [1, 2, 3])
-
-
-def test_sym_eigenvalues_rejects_asymmetric():
-    with pytest.raises(InputError):
-        sym_eigenvalues([[0.0, 1.0], [0.0, 0.0]])
-
-
-def test_gramian_eigenvalues_nonnegative():
-    rng = np.random.default_rng(21)
-    for _ in range(25):
-        n = int(rng.integers(1, 9))
-        v = rng.normal(size=(n, n))
-        g = v @ v.T
-        scale = max(1.0, float(np.max(np.abs(g))))
-        assert sym_eigenvalues(g)[0] >= -1e-10 * scale
 
 
 def test_poly_roots_examples():
