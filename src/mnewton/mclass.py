@@ -64,8 +64,8 @@ class GeneratorSpec:
 
 
 def _z_violations(a: np.ndarray, tol: float) -> list:
-    """Positive off-diagonal entries as ((i, j), a_ij), 1-based, in row-major order."""
-    positive = a > tol
+    """Off-diagonal entries above ``tol * max|A|`` as ((i, j), a_ij), 1-based, row-major."""
+    positive = a > tol * np.max(np.abs(a))
     np.fill_diagonal(positive, False)
     return [((int(i) + 1, int(j) + 1), float(a[i, j])) for i, j in np.argwhere(positive)]
 
@@ -93,8 +93,9 @@ def _singular_probe(a: np.ndarray, tol: float) -> bool:
 
 def _is_inverse_m(a: np.ndarray, tol: float) -> bool:
     """A >= 0, nonsingular and inv(A) a Z-matrix: a Z-matrix is a nonsingular
-    M-matrix iff its inverse is nonnegative (Berman & Plemmons, ch. 6)."""
-    if np.any(a < -tol) or determinant(a) == 0.0:
+    M-matrix iff its inverse is nonnegative (Berman & Plemmons, ch. 6); entries
+    are judged against ``tol * max|A|``."""
+    if np.any(a < -tol * np.max(np.abs(a))) or determinant(a) == 0.0:
         return False
     try:
         inv = np.linalg.inv(a)
@@ -109,24 +110,23 @@ def classify(a, tol: float = 1e-9) -> MatrixClassReport:
     ``is_p`` is decided by the exhaustive all-minors oracle for
     n <= P_TEST_MAX_N.  For larger Z-matrices it is inferred from the
     leading minors when possible, and reported as None (not evaluated)
-    otherwise.  ``m_class`` distinguishes nonsingular M-matrices from
-    members of the singular closure, probed by the eps-shift test.
+    otherwise.  ``witnesses`` are the minors <= ``tol`` that the exhaustive
+    test finds (at most 4 per size), else the leading ones.  ``m_class``
+    distinguishes nonsingular M-matrices from members of the singular
+    closure, probed by the eps-shift test.
     """
     mat = as_matrix(a)
     n = mat.shape[0]
     zv = _z_violations(mat, tol)
     is_z = not zv
-    witnesses: list = []
-    nonsing = False
-    if is_z:
-        nonsing, lead_bad = _m_nonsingular(mat, tol)
-        witnesses.extend(lead_bad)
+    nonsing, witnesses = _m_nonsingular(mat, tol) if is_z else (False, [])
 
     if n <= P_TEST_MAX_N:
         minors = principal_minors_by_mask(mat)
         bad = np.flatnonzero(minors[1:] <= tol) + 1      # masks of the nonempty sets
         is_p: bool | None = not bad.size
         sizes = np.bitwise_count(bad)
+        witnesses = []
         for m in range(1, n + 1):
             for mask in bad[sizes == m][:_MAX_WITNESSES_PER_SIZE].tolist():
                 alpha = tuple(i + 1 for i in range(n) if mask >> i & 1)

@@ -9,6 +9,7 @@ from mnewton.mclass import (
     M_NONSINGULAR,
     M_SINGULAR,
     NOT_M,
+    P_TEST_MAX_N,
     GeneratorSpec,
     classify,
     dual_minor_identity_check,
@@ -50,6 +51,26 @@ def test_classify_not_m_with_witness():
     for k in range(1, 13):
         rep = classify(np.array([[10.0 ** -k, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0 - 4e-7]]))
         assert rep.witnesses and all(alpha != (1, 2, 3) for alpha, _ in rep.witnesses), k
+
+
+def test_classify_lists_each_witness_once():
+    # the exhaustive P test covers the leading minors, so they are not listed again
+    for a in ([[1.0, -1.0], [-1.0, 1.0]], [[1.0, -3.0], [-3.0, 1.0]], -np.eye(4)):
+        alphas = [alpha for alpha, _ in classify(np.array(a)).witnesses]
+        assert alphas and len(alphas) == len(set(alphas)), a
+    # beyond the exhaustive test the leading minors are the witnesses
+    n = P_TEST_MAX_N + 1
+    rep = classify(-np.eye(n))
+    assert rep.is_p is None
+    assert rep.witnesses == [(tuple(range(1, k + 1)), -1.0) for k in range(1, n + 1, 2)]
+
+
+def test_entry_rules_are_scale_free():
+    # entries near zero are judged against tol * max|A|, not an absolute tol
+    for e in (-40, 0, 40):
+        s = 2.0 ** e
+        assert classify(s * np.array([[1.0, -1e-10], [0.0, 1.0]])).is_inverse_m, e
+        assert classify(s * np.array([[2.0, 1e-10], [-1.0, 2.0]])).is_z, e
 
 
 def test_generate_is_deterministic():
