@@ -70,6 +70,7 @@ CASES = {
     "forms-phi-7-3": ["forms", "--n", "7", "--m", "3", "--kind", "phi"],
     "forms-psi-6-2-text": ["forms", "--n", "6", "--m", "2", "--format", "text"],
     "forms-m-out-of-range": ["forms", "--n", "5", "--m", "5"],
+    "forms-psi-16-8": ["forms", "--n", "16", "--m", "8"],
     "identity-12-5": ["identity", "--n", "12", "--m", "5"],
     "identity-7-3-text": ["identity", "--n", "7", "--m", "3", "--format", "text"],
     "identity-m-zero": ["identity", "--n", "5", "--m", "0"],
@@ -120,6 +121,8 @@ def run_case(argv, workdir: Path) -> dict[str, bytes]:
 
 def test_cases_cover_every_subcommand_and_exit_code():
     assert {argv[0] for argv in CASES.values()} == set(cli._HANDLERS)
+    # regenerating never deletes a case directory, so a stale one must fail here
+    assert {p.name for p in (GOLDEN / "expected").iterdir()} == set(CASES)
     codes = {(GOLDEN / "expected" / name / "exit_code").read_text().strip()
              for name in CASES}
     assert codes == {"0", "1", "2"}
