@@ -9,7 +9,7 @@ from .charcoeff import (
     newton_check,
     normalized_coeffs,
 )
-from .errors import ConstructionError, GenerationError, InputError
+from .errors import GenerationError, InputError
 from .forms import (
     FormMatrix,
     binomial_identity_sum,
@@ -53,7 +53,6 @@ from .pairsums import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConstructionError",
     "FormMatrix",
     "GenerationError",
     "GeneratorSpec",

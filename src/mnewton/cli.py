@@ -9,11 +9,10 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from . import charcoeff, forms, mclass, niep, pairsums, serialize
-from .errors import ConstructionError, GenerationError, InputError
+from .errors import GenerationError, InputError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -98,7 +97,7 @@ def _cmd_classify(args):
         "command": "classify",
         "n": int(a.shape[0]),
         "tol": args.tol,
-        **asdict(rep),
+        **vars(rep),
     }
 
 
@@ -123,7 +122,7 @@ def _cmd_newton(args):
         "n": int(c.size - 1),
         "tol": args.tol,
         "coeffs": c,
-        **asdict(rep),
+        **vars(rep),
     }
 
 
@@ -196,34 +195,24 @@ def _cmd_identity(args):
                 "sum": str(total), "is_zero": ok}
 
 
-def _screen_report(rep: niep.ScreeningReport) -> dict:
-    return {
-        "n": rep.n,
-        "conditions": {
-            c.name: {"status": c.status, "margin": c.margin,
-                     "witness": c.witness, "note": c.note}
-            for c in rep.conditions
-        },
-        "params": {"moment_k": rep.moment_k, "jll_bound": rep.jll_bound,
-                   "tol": rep.tol},
-        "all_pass": rep.all_pass,
-    }
+def _screen_report(path, args, **tag) -> dict:
+    """Screen one spectrum file; the report's fields are splatted one level deep."""
+    rep = niep.screen(_load_spectrum(str(path)), moment_k=args.moment_k,
+                      jll_bound=args.jll_bound, tol=args.tol)
+    return {**vars(rep), "conditions": {k: vars(c) for k, c in rep.conditions.items()},
+            **tag}
 
 
 def _cmd_niep_screen(args):
     path = Path(args.spectrum)
-    kwargs = {"moment_k": args.moment_k, "jll_bound": args.jll_bound,
-              "tol": args.tol}
     if path.is_dir():
         files = sorted(f for f in path.iterdir() if f.suffix == ".json")
         if not files:
             raise InputError(f"no .json spectra found in {path}")
-        reports = [{**_screen_report(niep.screen(_load_spectrum(str(f)), **kwargs)),
-                    "file": f.name} for f in files]
+        reports = [_screen_report(f, args, file=f.name) for f in files]
         ok = all(r["all_pass"] for r in reports)
         return ok, {"command": "niep-screen", "reports": reports, "all_pass": ok}
-    rep = _screen_report(niep.screen(_load_spectrum(str(path)), **kwargs))
-    rep["command"] = "niep-screen"
+    rep = _screen_report(path, args, command="niep-screen")
     return rep["all_pass"], rep
 
 
@@ -283,7 +272,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         ok, report = _HANDLERS[args.command](args)
-    except (InputError, GenerationError, ConstructionError) as exc:
+    except (InputError, GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.format == "json":

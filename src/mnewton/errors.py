@@ -7,7 +7,3 @@ class InputError(ValueError):
 
 class GenerationError(RuntimeError):
     """A seeded matrix generator failed to converge."""
-
-
-class ConstructionError(RuntimeError):
-    """An iterative construction missed its residual target."""

@@ -70,25 +70,11 @@ def _z_violations(a: np.ndarray, tol: float) -> list:
     return [((int(i) + 1, int(j) + 1), float(a[i, j])) for i, j in np.argwhere(positive)]
 
 
-def _leading_minors(a: np.ndarray) -> list[float]:
-    return [determinant(a[:k, :k]) for k in range(1, a.shape[0] + 1)]
-
-
-def _m_nonsingular(a: np.ndarray, tol: float) -> tuple[bool, list]:
-    """Z-test plus positive leading minors (valid M characterization for Z-matrices)."""
-    if _z_violations(a, tol):
-        return False, []
-    bad = [(tuple(range(1, k + 2)), float(lm))
-           for k, lm in enumerate(_leading_minors(a)) if lm <= tol]
-    return not bad, bad
-
-
-def _singular_probe(a: np.ndarray, tol: float) -> bool:
-    """True when every shifted copy a + eps*I passes the nonsingular M test."""
-    scale = float(np.max(np.abs(a))) or 1.0
-    eye = np.eye(a.shape[0])
-    return all(_m_nonsingular(a + eps * scale * eye, tol)[0]
-               for eps in SINGULAR_PROBE_SHIFTS)
+def _bad_leading_minors(a: np.ndarray, tol: float) -> list:
+    """Leading minors <= ``tol`` as ((1, ..., k), minor); a Z-matrix with none
+    is a nonsingular M-matrix (leading-minor characterization)."""
+    minors = (determinant(a[:k, :k]) for k in range(1, a.shape[0] + 1))
+    return [(tuple(range(1, k + 2)), float(lm)) for k, lm in enumerate(minors) if lm <= tol]
 
 
 def _is_inverse_m(a: np.ndarray, tol: float) -> bool:
@@ -119,7 +105,8 @@ def classify(a, tol: float = 1e-9) -> MatrixClassReport:
     n = mat.shape[0]
     zv = _z_violations(mat, tol)
     is_z = not zv
-    nonsing, witnesses = _m_nonsingular(mat, tol) if is_z else (False, [])
+    witnesses = _bad_leading_minors(mat, tol) if is_z else []
+    nonsing = is_z and not witnesses
 
     if n <= P_TEST_MAX_N:
         minors = principal_minors_by_mask(mat)
@@ -132,11 +119,15 @@ def classify(a, tol: float = 1e-9) -> MatrixClassReport:
                 alpha = tuple(i + 1 for i in range(n) if mask >> i & 1)
                 witnesses.append((alpha, float(minors[mask])))
     else:
-        is_p = True if (is_z and nonsing) else None
+        is_p = True if nonsing else None
 
-    if is_z and nonsing:
+    # singular closure: every shifted copy A + eps*max|A|*I passes the leading-minor
+    # test; the copies share A's off-diagonal entries, so Z is not tested again
+    scale = float(np.max(np.abs(mat))) or 1.0
+    if nonsing:
         m_class = M_NONSINGULAR
-    elif is_z and _singular_probe(mat, tol):
+    elif is_z and not any(_bad_leading_minors(mat + eps * scale * np.eye(n), tol)
+                          for eps in SINGULAR_PROBE_SHIFTS):
         m_class = M_SINGULAR
     else:
         m_class = NOT_M

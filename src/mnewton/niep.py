@@ -4,7 +4,9 @@ Four screening conditions on a candidate spectrum: nonnegative power sums,
 the power-sum comparison s_k^m <= n^(m-1) s_{km} (the JLL condition), the
 Newton inequalities of the Perron-shifted tuple, and the Laffey-Meehan
 test (n-1) s_4 >= s_2^2 for traceless tuples.  Each condition reports
-pass / fail / not-applicable with the decisive margin and witness.
+pass / fail / not-applicable with the decisive margin and witness; ``screen``
+keys them by name in the report the CLI emits as is.  ``construct_perturbed``
+builds the perturbed ten-tuple in closed form.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charcoeff import coeffs_from_spectrum, ensure_conjugate_closed, newton_check
-from .errors import ConstructionError, InputError
+from .errors import InputError
 
 PASS = "pass"
 FAIL = "fail"
@@ -35,7 +37,6 @@ def moments(values, k_max: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConditionResult:
-    name: str
     status: str                 # PASS | FAIL | NOT_APPLICABLE
     margin: float | None
     witness: object = None
@@ -50,7 +51,7 @@ def moment_condition(values, k_max: int = DEFAULT_MOMENT_K,
     worst = int(np.argmin(s))
     margin = float(s[worst])
     status = PASS if margin >= -tol * scale else FAIL
-    return ConditionResult("moments", status, margin, witness=worst + 1,
+    return ConditionResult(status, margin, witness=worst + 1,
                            note=f"verified for k <= {k_max}")
 
 
@@ -75,7 +76,7 @@ def jll_condition(values, bound: int = DEFAULT_JLL_BOUND,
             if slack < worst:
                 worst, worst_pair = slack, (k, m)
     status = PASS if worst >= -tol else FAIL
-    return ConditionResult("jll", status, float(worst), witness=worst_pair,
+    return ConditionResult(status, float(worst), witness=worst_pair,
                            note=f"verified up to bound k*m <= {bound}")
 
 
@@ -94,14 +95,13 @@ def newton_shift_condition(values, tol: float = 1e-9) -> ConditionResult:
     real_nonneg = (np.abs(vals.imag) <= tol * scale) & (vals.real >= -tol * scale)
     cands = np.nonzero(near & real_nonneg)[0]
     if cands.size == 0:
-        return ConditionResult(
-            "newton_shift", NOT_APPLICABLE, None,
-            note="maximum-modulus element is not real nonnegative")
+        return ConditionResult(NOT_APPLICABLE, None,
+                               note="maximum-modulus element is not real nonnegative")
     lam1 = float(vals[cands[0]].real)
     report = newton_check(coeffs_from_spectrum(lam1 - vals), tol)
     margin = float(np.min(report.margins)) if report.margins.size else 0.0
     status = PASS if report.holds else FAIL
-    return ConditionResult("newton_shift", status, margin,
+    return ConditionResult(status, margin,
                            witness=report.worst_j, note=f"shift by {lam1:.12g}")
 
 
@@ -112,78 +112,62 @@ def laffey_meehan_condition(values, tol: float = 1e-9) -> ConditionResult:
     s = moments(vals, 4)
     abs_sum = float(np.sum(np.abs(vals)))
     if abs(s[0]) > tol * max(1.0, abs_sum):
-        return ConditionResult("laffey_meehan", NOT_APPLICABLE, None,
+        return ConditionResult(NOT_APPLICABLE, None,
                                note="applicable only when the first moment is zero")
     margin = float((n - 1) * s[3] - s[1] ** 2)
     scale = max(1.0, abs((n - 1) * s[3]), s[1] ** 2)
     status = PASS if margin >= -tol * scale else FAIL
-    return ConditionResult("laffey_meehan", status, margin)
+    return ConditionResult(status, margin)
 
 
 @dataclass(frozen=True)
 class ScreeningReport:
     n: int
-    conditions: tuple
-    moment_k: int
-    jll_bound: int
-    tol: float
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c.status != FAIL for c in self.conditions)
-
-    def condition(self, name: str) -> ConditionResult:
-        for c in self.conditions:
-            if c.name == name:
-                return c
-        raise KeyError(name)
+    conditions: dict            # name -> ConditionResult, in screening order
+    params: dict                # {"moment_k", "jll_bound", "tol"}
+    all_pass: bool              # no condition fails
 
 
 def screen(values, moment_k: int = DEFAULT_MOMENT_K,
            jll_bound: int = DEFAULT_JLL_BOUND, tol: float = 1e-9) -> ScreeningReport:
     """Run all four conditions with shared tolerances on one spectrum."""
     vals = ensure_conjugate_closed(values)
-    conditions = (
-        moment_condition(vals, moment_k, tol),
-        jll_condition(vals, jll_bound, tol),
-        newton_shift_condition(vals, tol),
-        laffey_meehan_condition(vals, tol),
-    )
-    return ScreeningReport(vals.size, conditions, moment_k, jll_bound, tol)
+    conditions = {
+        "moments": moment_condition(vals, moment_k, tol),
+        "jll": jll_condition(vals, jll_bound, tol),
+        "newton_shift": newton_shift_condition(vals, tol),
+        "laffey_meehan": laffey_meehan_condition(vals, tol),
+    }
+    params = {"moment_k": moment_k, "jll_bound": jll_bound, "tol": tol}
+    return ScreeningReport(vals.size, conditions, params,
+                           all(c.status != FAIL for c in conditions.values()))
 
 
 # Real 10-tuple with zero first and third moments, positive even moments.
 BASE_TEN_TUPLE = (3.0, 1.0, 1.0, 1.0, 1.0, 1.0, -2.0, -2.0, -2.0, -2.0)
 # Tangent direction solving 9 t1 + t2 + 4 t3 = 0 with positive component sum;
-# one valid choice among many, fixed for reproducibility.
+# one valid choice among many, fixed for reproducibility.  Only t1 and t2
+# are applied: the seventh entry is solved for exactly, with tangent t3.
 PERTURBATION_DIRECTION = (-1.0, 13.0, -1.0)
 _CUBE_SUM_TARGET = 20.0
-_CUBE_RESIDUAL = 1e-13
 
 
 def construct_perturbed(eps: float) -> np.ndarray:
     """Real 10-tuple with positive first moment and vanishing third moment.
 
-    Perturbs the first, second and seventh entries of the base tuple along
-    the fixed direction scaled by ``eps``, then corrects the third
-    component by derivative-based root-finding until the cube-sum
-    constraint holds to residual <= 1e-13, which pins the third moment of
-    the full tuple to (numerical) zero while keeping the first positive.
-    The result passes the moment and shifted-Newton conditions but
-    violates the power-sum comparison at (k, m) = (1, 3).
+    Moves the first and second entries of the base tuple by ``eps`` times
+    the fixed direction, then sets the seventh entry to the real cube root
+    that restores the cube sum (3+t1)^3 + (1+t2)^3 + x^3 = 20 of the three
+    moved entries (residual <= 1e-13).  This pins the third moment of the
+    full tuple to (numerical) zero while keeping the first positive.  The
+    result passes the moment and shifted-Newton conditions but violates
+    the power-sum comparison at (k, m) = (1, 3).
     """
     if not 0.0 < eps <= 1e-2:
         raise InputError("eps must lie in (0, 1e-2]")
-    t1, t2, t3 = (eps * d for d in PERTURBATION_DIRECTION)
-    for _ in range(100):
-        f = (3.0 + t1) ** 3 + (1.0 + t2) ** 3 + (-2.0 + t3) ** 3 - _CUBE_SUM_TARGET
-        if abs(f) <= _CUBE_RESIDUAL:
-            break
-        t3 -= f / (3.0 * (-2.0 + t3) ** 2)
-    else:
-        raise ConstructionError("cube-sum correction did not reach residual 1e-13")
+    t1, t2 = eps * PERTURBATION_DIRECTION[0], eps * PERTURBATION_DIRECTION[1]
     out = np.array(BASE_TEN_TUPLE)
     out[0] += t1
     out[1] += t2
-    out[6] += t3
+    out[6] = np.cbrt(_CUBE_SUM_TARGET - (3.0 + t1) ** 3 - (1.0 + t2) ** 3)
     return out

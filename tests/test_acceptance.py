@@ -233,7 +233,7 @@ def test_criterion_09_independence_matrix():
     failures = []
     for label, (rep, expected) in cases.items():
         for name, status in expected.items():
-            got = rep.condition(name).status
+            got = rep.conditions[name].status
             if got != status:
                 failures.append((label, name, got, status))
     ok = not failures

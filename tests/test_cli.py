@@ -1,11 +1,13 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from mnewton.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from mnewton.mclass import GeneratorSpec, generate
-from mnewton.serialize import matrix_to_dict
+from mnewton.niep import screen
+from mnewton.serialize import dumps_report, matrix_to_dict, spectrum_from_dict
 
 
 def write_json(path, payload):
@@ -145,6 +147,16 @@ def test_niep_screen_counterexample(capsys, tmp_path):
     lm = rep["conditions"]["laffey_meehan"]
     assert lm["status"] == "fail"
     assert lm["margin"] == -60.0
+
+
+def test_niep_screen_report_is_the_screening_report(capsys, tmp_path):
+    # the CLI adds only the command name to the library's report, field for field
+    payload = {"values": [[2.0, 0.0], [-0.5, 0.5], [-0.5, -0.5], 0.25]}
+    spec = write_json(tmp_path / "s.json", payload)
+    code, out, _ = run(capsys, ["niep-screen", "--spectrum", spec])
+    rep = screen(spectrum_from_dict(payload))
+    assert out == dumps_report({**asdict(rep), "command": "niep-screen"}) + "\n"
+    assert code == (EXIT_OK if rep.all_pass else EXIT_VIOLATION)
 
 
 def test_niep_screen_directory_batch(capsys, tmp_path):

@@ -123,39 +123,39 @@ def test_laffey_meehan_cases():
 def test_screen_independence_patterns():
     # moments fail, shifted Newton passes
     rep = screen(MOMENT_FAIL_TRIPLE)
-    assert rep.condition("moments").status == FAIL
-    assert rep.condition("newton_shift").status == PASS
+    assert rep.conditions["moments"].status == FAIL
+    assert rep.conditions["newton_shift"].status == PASS
 
     # moments pass, shifted Newton fails
     rep = screen(MOMENT_PASS_TRIPLE)
-    assert rep.condition("moments").status == PASS
-    assert rep.condition("newton_shift").status == FAIL
+    assert rep.conditions["moments"].status == PASS
+    assert rep.conditions["newton_shift"].status == FAIL
 
     # moments and shifted Newton pass, the power-sum comparison fails
     rep = screen(construct_perturbed(1e-3))
-    assert rep.condition("moments").status == PASS
-    assert rep.condition("newton_shift").status == PASS
-    assert rep.condition("jll").status == FAIL
+    assert rep.conditions["moments"].status == PASS
+    assert rep.conditions["newton_shift"].status == PASS
+    assert rep.conditions["jll"].status == FAIL
 
     # moments and power-sum comparison pass, shifted Newton fails
     rep = screen(p_root_six_tuple())
-    assert rep.condition("moments").status == PASS
-    assert rep.condition("jll").status == PASS
-    assert rep.condition("newton_shift").status == FAIL
+    assert rep.conditions["moments"].status == PASS
+    assert rep.conditions["jll"].status == PASS
+    assert rep.conditions["newton_shift"].status == FAIL
 
 
 def test_screen_laffey_meehan_is_independent():
     rep = screen(LAFFEY_FAIL_FIVE)
-    assert rep.condition("moments").status == PASS
-    assert rep.condition("jll").status == PASS
-    assert rep.condition("newton_shift").status == PASS
-    assert rep.condition("laffey_meehan").status == FAIL
+    assert rep.conditions["moments"].status == PASS
+    assert rep.conditions["jll"].status == PASS
+    assert rep.conditions["newton_shift"].status == PASS
+    assert rep.conditions["laffey_meehan"].status == FAIL
     assert not rep.all_pass
 
 
 def test_screen_nonnegative_tuple_passes_everything():
     rep = screen((0.5, 1.5, 2.0, 0.0))
-    assert all(c.status != FAIL for c in rep.conditions)
+    assert all(c.status != FAIL for c in rep.conditions.values())
     assert rep.all_pass
 
 
@@ -177,15 +177,18 @@ def test_screen_spectra_of_random_nonnegative_matrices():
         coeffs = [(-1.0) ** j * e[j] for j in range(n + 1)]
         lam = poly_roots(coeffs)
         rep = screen(lam)
-        assert rep.all_pass, (n, lam, [c for c in rep.conditions if c.status == FAIL])
+        assert rep.all_pass, (n, lam, [c for c in rep.conditions.values() if c.status == FAIL])
 
 
 def test_construct_perturbed_profile():
-    t = construct_perturbed(1e-3)
-    s = moments(t, 20)
-    assert s[0] > 0.0
-    assert abs(s[2]) <= 1e-12
-    assert np.all(s[1:] >= -1e-12)
+    for eps in (1e-12, 1e-7, 1e-3, 1e-2):
+        t = construct_perturbed(eps)
+        s = moments(t, 20)
+        assert s[0] > 0.0, eps
+        assert abs(s[2]) <= 1e-12, eps
+        assert np.all(s[1:] >= -1e-12), eps
+        # cube sum of the three moved entries: (3+t1)^3 + (1+t2)^3 + x^3 = 20
+        assert abs(t[0] ** 3 + t[1] ** 3 + t[6] ** 3 - 20.0) <= 1e-13, eps
 
 
 def test_construct_perturbed_continuity_at_zero():
