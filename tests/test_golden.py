@@ -82,9 +82,13 @@ CASES = {
     "niep-screen-dir-text": ["niep-screen", "--spectrum", "inputs/spectra", "--format", "text"],
     "niep-screen-dir-params": ["niep-screen", "--spectrum", "inputs/spectra",
                                "--jll-bound", "6", "--moment-k", "4", "--tol", "1e-6"],
+    "niep-screen-dir-moment-k-above-bound": ["niep-screen", "--spectrum", "inputs/spectra",
+                                             "--moment-k", "40", "--jll-bound", "3"],
     "niep-screen-no-spectra": ["niep-screen", "--spectrum", "inputs/nojson"],
     "niep-screen-bad-jll-bound": ["niep-screen", "--spectrum", "inputs/spectra/b_pass.json",
                                   "--jll-bound", "1"],
+    "niep-screen-bad-moment-k": ["niep-screen", "--spectrum", "inputs/spectra/b_pass.json",
+                                 "--moment-k", "0"],
     "gen-m-4-3": ["gen", "--kind", "M", "--n", "4", "--seed", "3"],
     "gen-spec-file": ["gen", "--input", "inputs/gen_invm.json"],
     "gen-singular-m": ["gen", "--kind", "singular-M", "--n", "3", "--seed", "5"],
