@@ -31,7 +31,7 @@ def ensure_conjugate_closed(values) -> np.ndarray:
     if not np.all(np.isfinite(vals)):
         raise InputError("spectrum values must be finite")
     tol = CLOSURE_RTOL * max(1.0, float(np.max(np.abs(vals))))
-    nonreal = [i for i in range(vals.size) if abs(vals[i].imag) > tol]
+    nonreal = np.flatnonzero(np.abs(vals.imag) > tol).tolist()
     unmatched = set(nonreal)
     for i in nonreal:
         if i not in unmatched:
@@ -69,14 +69,21 @@ def coeffs_from_spectrum(values) -> np.ndarray:
     conjugation-closed; the residual imaginary part is discarded when below
     ``CLOSURE_RTOL * scale`` and rejected otherwise.
     """
-    vals = ensure_conjugate_closed(values)
+    return _coeffs(ensure_conjugate_closed(values))
+
+
+def _coeffs(vals: np.ndarray) -> np.ndarray:
+    """The recurrence of :func:`coeffs_from_spectrum` on a validated spectrum.
+
+    It runs on Python complex numbers: the same IEEE products and sums as
+    numpy scalars, bit for bit, at a fraction of the cost per operation.
+    """
     n = vals.size
-    e = np.zeros(n + 1, dtype=complex)
-    e[0] = 1.0
-    for i in range(n):
-        r = vals[i]
-        for j in range(min(i + 1, n), 0, -1):
+    e = [1.0 + 0.0j] + [0.0j] * n
+    for i, r in enumerate(vals.tolist()):
+        for j in range(i + 1, 0, -1):
             e[j] += r * e[j - 1]
+    e = np.array(e)
     scale = max(1.0, float(np.max(np.abs(e))))
     resid = float(np.max(np.abs(e.imag)))
     if resid > CLOSURE_RTOL * scale:

@@ -7,15 +7,24 @@ test (n-1) s_4 >= s_2^2 for traceless tuples.  Each condition reports
 pass / fail / not-applicable with the decisive margin and witness; ``screen``
 keys them by name in the report the CLI emits as is.  ``construct_perturbed``
 builds the perturbed ten-tuple in closed form.
+
+``screen`` makes one pass per spectrum: it validates conjugate closure once,
+builds one table of power sums s_1..s_max(K, bound, 4), and hands both to
+the four private kernels.  Each public condition function validates and
+then calls the same kernel, so each condition has one route.  The scalar
+loops (the JLL comparison, the coefficient recurrence) run on Python
+numbers, which round exactly as numpy scalars do; numpy's array forms do
+not always, so they are not vectorized.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .charcoeff import coeffs_from_spectrum, ensure_conjugate_closed, newton_check
+from .charcoeff import _coeffs, ensure_conjugate_closed, newton_check
 from .errors import InputError
 
 PASS = "pass"
@@ -28,9 +37,23 @@ DEFAULT_JLL_BOUND = 30
 
 def moments(values, k_max: int) -> np.ndarray:
     """Power sums s_1..s_K of a conjugation-closed spectrum (real parts)."""
+    _check_moment_k(k_max)
+    return _power_sums(ensure_conjugate_closed(values), k_max)
+
+
+def _check_moment_k(k_max: int) -> None:
     if k_max < 1:
         raise InputError("moment order K must be >= 1")
-    vals = ensure_conjugate_closed(values)
+
+
+def _check_jll_bound(bound: int) -> None:
+    if bound < 2:
+        raise InputError("jll bound must be >= 2")
+
+
+def _power_sums(vals: np.ndarray, k_max: int) -> np.ndarray:
+    # s_k depends only on row k of the table, so a longer table extends a
+    # shorter one bit for bit
     powers = vals[None, :] ** np.arange(1, k_max + 1)[:, None]
     return powers.sum(axis=1).real
 
@@ -46,7 +69,11 @@ class ConditionResult:
 def moment_condition(values, k_max: int = DEFAULT_MOMENT_K,
                      tol: float = 1e-9) -> ConditionResult:
     """All power sums up to k_max must be nonnegative; margin is the smallest."""
-    s = moments(values, k_max)
+    return _moment(moments(values, k_max), k_max, tol)
+
+
+def _moment(s: np.ndarray, k_max: int, tol: float) -> ConditionResult:
+    s = s[:k_max]
     scale = max(1.0, float(np.max(np.abs(s))))
     worst = int(np.argmin(s))
     margin = float(s[worst])
@@ -61,22 +88,31 @@ def jll_condition(values, bound: int = DEFAULT_JLL_BOUND,
 
     Margin is the most negative normalized slack; witness is its (k, m).
     """
-    if bound < 2:
-        raise InputError("jll bound must be >= 2")
+    _check_jll_bound(bound)
     vals = ensure_conjugate_closed(values)
-    n = vals.size
-    s = moments(vals, bound)
-    worst = np.inf
+    return _jll(_power_sums(vals, bound), vals.size, bound, tol)
+
+
+def _jll(s: np.ndarray, n: int, bound: int, tol: float) -> ConditionResult:
+    # a scalar loop over Python floats: numpy's array power can differ from
+    # the scalar one in the last bit, which would move margins
+    s = s.tolist()
+    n_pow = [float(n) ** (m - 1) for m in range(bound + 1)]
+    worst = math.inf
     worst_pair = None
     for k in range(1, bound // 2 + 1):
+        sk = s[k - 1]
         for m in range(2, bound // k + 1):
-            lhs = s[k - 1] ** m
-            rhs = float(n) ** (m - 1) * s[k * m - 1]
+            try:
+                lhs = sk ** m
+            except OverflowError:   # numpy's scalar power gives +-inf here
+                lhs = math.copysign(math.inf, sk) if m % 2 else math.inf
+            rhs = n_pow[m] * s[k * m - 1]
             slack = (rhs - lhs) / max(1.0, abs(lhs), abs(rhs))
             if slack < worst:
                 worst, worst_pair = slack, (k, m)
     status = PASS if worst >= -tol else FAIL
-    return ConditionResult(status, float(worst), witness=worst_pair,
+    return ConditionResult(status, worst, witness=worst_pair,
                            note=f"verified up to bound k*m <= {bound}")
 
 
@@ -88,7 +124,10 @@ def newton_shift_condition(values, tol: float = 1e-9) -> ConditionResult:
     nonnegative representative, and a spectrum with no such candidate is
     unrealizable outright, so the condition reports not-applicable.
     """
-    vals = ensure_conjugate_closed(values)
+    return _newton_shift(ensure_conjugate_closed(values), tol)
+
+
+def _newton_shift(vals: np.ndarray, tol: float) -> ConditionResult:
     scale = max(1.0, float(np.max(np.abs(vals))))
     maxmod = float(np.max(np.abs(vals)))
     near = np.abs(np.abs(vals) - maxmod) <= tol * scale
@@ -98,7 +137,8 @@ def newton_shift_condition(values, tol: float = 1e-9) -> ConditionResult:
         return ConditionResult(NOT_APPLICABLE, None,
                                note="maximum-modulus element is not real nonnegative")
     lam1 = float(vals[cands[0]].real)
-    report = newton_check(coeffs_from_spectrum(lam1 - vals), tol)
+    # a real shift of a conjugation-closed spectrum is conjugation-closed
+    report = newton_check(_coeffs(lam1 - vals), tol)
     margin = float(np.min(report.margins)) if report.margins.size else 0.0
     status = PASS if report.holds else FAIL
     return ConditionResult(status, margin,
@@ -108,8 +148,11 @@ def newton_shift_condition(values, tol: float = 1e-9) -> ConditionResult:
 def laffey_meehan_condition(values, tol: float = 1e-9) -> ConditionResult:
     """(n-1) s_4 >= s_2^2, applicable only when the first moment vanishes."""
     vals = ensure_conjugate_closed(values)
+    return _laffey_meehan(vals, _power_sums(vals, 4), tol)
+
+
+def _laffey_meehan(vals: np.ndarray, s: np.ndarray, tol: float) -> ConditionResult:
     n = vals.size
-    s = moments(vals, 4)
     abs_sum = float(np.sum(np.abs(vals)))
     if abs(s[0]) > tol * max(1.0, abs_sum):
         return ConditionResult(NOT_APPLICABLE, None,
@@ -130,13 +173,21 @@ class ScreeningReport:
 
 def screen(values, moment_k: int = DEFAULT_MOMENT_K,
            jll_bound: int = DEFAULT_JLL_BOUND, tol: float = 1e-9) -> ScreeningReport:
-    """Run all four conditions with shared tolerances on one spectrum."""
+    """Run all four conditions with shared tolerances on one spectrum.
+
+    One pass: the spectrum is validated once and its power sums
+    s_1..s_max(moment_k, jll_bound, 4) are built once; every condition
+    reads them, with the same results as its public function.
+    """
     vals = ensure_conjugate_closed(values)
+    _check_moment_k(moment_k)
+    _check_jll_bound(jll_bound)
+    s = _power_sums(vals, max(moment_k, jll_bound, 4))
     conditions = {
-        "moments": moment_condition(vals, moment_k, tol),
-        "jll": jll_condition(vals, jll_bound, tol),
-        "newton_shift": newton_shift_condition(vals, tol),
-        "laffey_meehan": laffey_meehan_condition(vals, tol),
+        "moments": _moment(s, moment_k, tol),
+        "jll": _jll(s, vals.size, jll_bound, tol),
+        "newton_shift": _newton_shift(vals, tol),
+        "laffey_meehan": _laffey_meehan(vals, s, tol),
     }
     params = {"moment_k": moment_k, "jll_bound": jll_bound, "tol": tol}
     return ScreeningReport(vals.size, conditions, params,

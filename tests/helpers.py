@@ -1,6 +1,7 @@
 """Helpers that only the tests use: scalar minors on 1-based index sets,
 batched and exact minors as oracles of the Schur-complement tree,
-brute-force minor sums, and polynomial roots by a companion matrix."""
+brute-force minor sums, polynomial roots by a companion matrix, the
+numpy-scalar coefficient recurrence, and a bitwise array comparison."""
 
 from __future__ import annotations
 
@@ -8,8 +9,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from mnewton.charcoeff import CLOSURE_RTOL, ensure_conjugate_closed
 from mnewton.errors import InputError
-from mnewton.linalg import as_matrix, determinant, enumerate_subsets
+from mnewton.linalg import as_matrix, binomials, determinant, enumerate_subsets
 
 # brute-force minor enumeration bound (2^n determinants); override allowed.
 EXHAUSTIVE_MINOR_CAP = 16
@@ -121,3 +123,32 @@ def poly_roots(coeffs) -> np.ndarray:
     """
     roots = np.linalg.eigvals(companion_matrix(coeffs))
     return roots[np.lexsort((roots.imag, roots.real))]
+
+
+def coeffs_numpy_scalar(values) -> np.ndarray:
+    """Normalized coefficients by the elementary-symmetric recurrence on numpy
+    scalars, the reference that ``coeffs_from_spectrum`` must match bit for bit."""
+    vals = ensure_conjugate_closed(values)
+    n = vals.size
+    e = np.zeros(n + 1, dtype=complex)
+    e[0] = 1.0
+    for i in range(n):
+        r = vals[i]
+        for j in range(min(i + 1, n), 0, -1):
+            e[j] += r * e[j - 1]
+    scale = max(1.0, float(np.max(np.abs(e))))
+    resid = float(np.max(np.abs(e.imag)))
+    if resid > CLOSURE_RTOL * scale:
+        raise InputError(
+            f"symmetric functions retain imaginary residue {resid:g} beyond tolerance")
+    return e.real / binomials(n)
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes, NaN in the same places, and every other entry bit for bit
+    (so 0.0 and -0.0 differ)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        return False
+    nan = np.isnan(a)
+    return bool(np.array_equal(nan, np.isnan(b))) and a[~nan].tobytes() == b[~nan].tobytes()

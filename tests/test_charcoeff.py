@@ -13,10 +13,10 @@ from mnewton.charcoeff import (
     normalized_coeffs,
 )
 from mnewton.errors import InputError
-from mnewton.mclass import GeneratorSpec, generate, well_conditioned_transform
+from mnewton.mclass import GENERATOR_KINDS, GeneratorSpec, generate, well_conditioned_transform
 from mnewton.niep import moments
 
-from helpers import minor_sums_exhaustive
+from helpers import coeffs_numpy_scalar, minor_sums_exhaustive, same_bits
 
 SQRT2 = math.sqrt(2.0)
 
@@ -45,6 +45,24 @@ def test_coeffs_from_spectrum_requires_closure():
         coeffs_from_spectrum([1.0 + 1j, 2.0])
     with pytest.raises(InputError):
         coeffs_from_spectrum([1j, 1j, -1j])  # multiplicities must pair up too
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_coeffs_from_spectrum_bit_identical_to_numpy_scalar_loop(kind):
+    for n in (1, 2, 3, 4, 5, 7, 10, 12, 16, 24, 33, 48, 64):
+        for seed in range(2):
+            vals = np.linalg.eigvals(generate(GeneratorSpec(kind, n, seed)))
+            got = coeffs_from_spectrum(vals)
+            assert same_bits(got, coeffs_numpy_scalar(vals)), (kind, n, seed)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_coeffs_from_spectrum_bit_identical_when_overflowing():
+    for vals in ([1e300, -1e300, 1e300], [1e200, 1e200, 1e200], [1e300j, -1e300j],
+                 [1e160 + 1e160j, 1e160 - 1e160j, 5.0], [-1e308, -1e308, 2.0, 3.0]):
+        got = coeffs_from_spectrum(vals)
+        assert not np.all(np.isfinite(got)), vals
+        assert same_bits(got, coeffs_numpy_scalar(vals)), vals
 
 
 def test_ensure_conjugate_closed_accepts_noisy_pairs():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mnewton.charcoeff import coeffs_from_spectrum, newton_check, normalized_coeffs
+from mnewton import charcoeff, niep
 from mnewton.errors import InputError
 from mnewton.linalg import binomials
 from mnewton.niep import (
@@ -118,6 +119,66 @@ def test_laffey_meehan_cases():
     assert res.status == PASS
     assert res.margin == 0.0
     assert laffey_meehan_condition((1.0, 2.0)).status == NOT_APPLICABLE
+
+
+SCREEN_SPECTRA = {
+    "real": (2.0, 0.5, -1.0, -0.25),
+    "complex-pairs": (3.0, 1.0 + 1.0j, 1.0 - 1.0j, -0.5 + 2.0j, -0.5 - 2.0j),
+    "n1": (2.5,),
+    "n2": (1.0, -1.0),
+    "ten-tuple": TEN_TUPLE,
+    "scaled-laffey-meehan": tuple(7.5 * x for x in LAFFEY_FAIL_FIVE),
+    "overflowing": (1e200, 1.0, 1.0),
+}
+SCREEN_PARAMS = ((20, 30), (1, 2), (40, 3), (4, 6))
+
+
+def _same_value(a, b):
+    # floats by repr: NaN equals NaN, and -0.0 differs from 0.0
+    return type(a) is type(b) and (repr(a) == repr(b) if isinstance(a, float) else a == b)
+
+
+def test_screen_validates_the_spectrum_once(monkeypatch):
+    calls = []
+    validate = niep.ensure_conjugate_closed
+
+    def counted(values):
+        calls.append(values)
+        return validate(values)
+
+    for module in (niep, charcoeff):
+        monkeypatch.setattr(module, "ensure_conjugate_closed", counted)
+    screen(SCREEN_SPECTRA["complex-pairs"])
+    assert len(calls) == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("k_max, bound", SCREEN_PARAMS)
+@pytest.mark.parametrize("name", sorted(SCREEN_SPECTRA))
+def test_screen_conditions_equal_the_public_functions(name, k_max, bound):
+    values = SCREEN_SPECTRA[name]
+    tol = 1e-9
+    rep = screen(values, k_max, bound, tol)
+    public = {
+        "moments": moment_condition(values, k_max, tol),
+        "jll": jll_condition(values, bound, tol),
+        "newton_shift": newton_shift_condition(values, tol),
+        "laffey_meehan": laffey_meehan_condition(values, tol),
+    }
+    assert list(rep.conditions) == list(public)
+    for cond, want in public.items():
+        got = rep.conditions[cond]
+        for field in ("status", "margin", "witness", "note"):
+            assert _same_value(getattr(got, field), getattr(want, field)), (cond, field)
+
+
+def test_screen_error_order_is_spectrum_then_moment_k_then_jll_bound():
+    with pytest.raises(InputError, match="not closed under conjugation"):
+        screen([1j], moment_k=0)
+    with pytest.raises(InputError, match="moment order K must be >= 1"):
+        screen([1.0], moment_k=0, jll_bound=1)
+    with pytest.raises(InputError, match="jll bound must be >= 2"):
+        screen([1.0], moment_k=1, jll_bound=1)
 
 
 def test_screen_independence_patterns():
