@@ -71,6 +71,7 @@ CASES = {
     "forms-psi-6-2-text": ["forms", "--n", "6", "--m", "2", "--format", "text"],
     "forms-m-out-of-range": ["forms", "--n", "5", "--m", "5"],
     "forms-psi-16-8": ["forms", "--n", "16", "--m", "8"],
+    "forms-psi-240-120": ["forms", "--n", "240", "--m", "120"],
     "identity-12-5": ["identity", "--n", "12", "--m", "5"],
     "identity-7-3-text": ["identity", "--n", "7", "--m", "3", "--format", "text"],
     "identity-m-zero": ["identity", "--n", "5", "--m", "0"],
