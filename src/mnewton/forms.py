@@ -10,9 +10,10 @@ All four form matrices are indexed by the colex-ordered size-m subsets of
 
 The forms are real symmetric, so real-spectrum PSD checking decides
 semidefiniteness of the associated Hermitian forms.  A form is stored as
-(n, m, kind): its eigenvalues are exact sums of the overlap weights
-against Eberlein polynomials.  Dense entries, from one capped builder,
-exist only for export, quadratic evaluation and test oracles.
+(n, m, kind).  Each weight is a + b d + c/(d+1) in the distance d = m - j,
+so every exact Johnson-scheme eigenvalue, of all four kinds, is one
+integer sum of O(m) terms.  Dense entries, from one capped builder, exist
+only for export, quadratic evaluation and test oracles.
 """
 
 from __future__ import annotations
@@ -49,16 +50,33 @@ def _lowest_overlap(n: int, m: int) -> int:
     return max(0, 2 * m - n)
 
 
-def _eberlein(n: int, m: int, d: int, i: int) -> int:
-    """Eigenvalue on eigenspace i of the distance-d graph of the Johnson scheme J(n, m)."""
-    return sum((-1) ** h * math.comb(i, h) * math.comb(m - i, d - h)
-               * math.comb(n - m - i, d - h) for h in range(min(i, d) + 1))
+def _affine_reciprocal(n: int, m: int, kind: str) -> tuple[int, int, int]:
+    """(a, b, c) with f(m-d) = a + b d + c/(d+1); psi's a is m(n-m) - (m+1)(n-m+1)."""
+    return {"phi": (m, -1, 0), "tilde_phi": (1, 1, 0), "tilde_psi": (0, 0, 1),
+            "psi": (-(n + 1), 0, (m + 1) * (n - m + 1))}[kind]
 
 
 def _theta(n: int, m: int, kind: str, i: int) -> Fraction:
-    """Exact eigenvalue sum_j f(j) E_{m-j}(i) of a form on Johnson eigenspace i."""
-    return sum((_weight(n, m, kind, j, Fraction(1)) * _eberlein(n, m, m - j, i)
-                for j in range(_lowest_overlap(n, m), m + 1)), Fraction(0))
+    """Exact eigenvalue sum_d f(m-d) E_d(i) on Johnson eigenspace i (Eberlein E_d).
+
+    With e = d - h in E_d(i) = sum_h (-1)^h C(i,h) C(m-i,e) C(n-m-i,e) this
+    is sum_e C(m-i,e) C(n-m-i,e) sum_h (-1)^h C(i,h) f(m-e-h): a + b e at
+    i = 0, -b at i = 1, 0 beyond, plus c e! i!/(e+i+1)! (the Beta integral
+    of x^e (1-x)^i), for e = 0..min(m, n-m) - i.  The Beta terms are summed
+    over the denominator K!/i!, K = min(m, n-m) + 1, so the loop is integer.
+    """
+    a, b, c = _affine_reciprocal(n, m, kind)
+    p, q = {0: (a, b), 1: (-b, 0)}.get(i, (0, 0))
+    k = min(m, n - m) + 1
+    linear = recip = 0
+    count = 1                                            # C(m-i, e) C(n-m-i, e)
+    beta = math.factorial(k) // math.factorial(i + 1)    # e! K! / (e+i+1)!
+    for e in range(k - i):
+        linear += count * (p + q * e)
+        recip += count * beta
+        count = count * (m - i - e) * (n - m - i - e) // (e + 1) ** 2
+        beta = beta * (e + 1) // (e + i + 2)
+    return linear + Fraction(c * recip * math.factorial(i), math.factorial(k))
 
 
 @dataclass(frozen=True)
@@ -85,7 +103,8 @@ class FormMatrix:
 
     @property
     def eigenvalues(self) -> list[Fraction]:
-        """Exact eigenvalues theta_i of the rational form, i = 0..min(m, n-m).
+        """Exact eigenvalues theta_i of the rational form, i = 0..min(m, n-m),
+        each one O(m) integer sum (``_theta``).
 
         Eigenspace i has multiplicity C(n, i) - C(n, i-1); i = 0 is spanned
         by the all-ones vector, so theta_0 is the common row sum.
@@ -138,12 +157,6 @@ def psd_check(form: FormMatrix, tol: float = 1e-8) -> tuple[bool, float]:
     return min_eig >= -tol * maxabs, min_eig
 
 
-def incidence_matrix(n: int, m: int) -> np.ndarray:
-    """0/1 matrix with one row per colex size-m subset, one column per element."""
-    masks = _colex_masks(n, m)
-    return ((masks[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)).astype(np.int64)
-
-
 @dataclass(frozen=True)
 class StructureReport:
     gramian_exact: bool        # phi == V V^T, as equal exact spectra
@@ -159,51 +172,36 @@ def structure_checks(n: int, m: int, tol: float = 1e-10) -> StructureReport:
 
     Integer relations (Gramian factorization, complement to the rank-one
     multiple of ones) are required exactly; the floating relations must
-    hold within ``tol`` and the all-ones vector must annihilate psi within
-    ``tol * maxabs(psi)``.
-
+    hold within ``tol``, and psi @ e = theta_0(psi) e within ``tol * maxabs(psi)``.
     The entrywise relations are checked on the float weights of the
-    overlaps that occur, which gives the same values as checking every
-    entry.  Forms in the Johnson scheme are equal exactly when their
-    eigenvalues are, so phi == V V^T is checked against the spectrum of
-    V^T V (diagonal C(n-1,m-1), off-diagonal C(n-2,m-2)): theta_0 = m
-    C(n-1,m-1), theta_1 = C(n-2,m-1) and 0 beyond.  psi @ e = theta_0(psi) e.
-    No dense matrix is built, so no dimension cap applies.
+    overlaps that occur, the same values as on every entry.  Johnson-scheme
+    forms are equal exactly when their eigenvalues are, so phi == V V^T is
+    checked against the Vandermonde spectrum m C(n-1,m-1), C(n-2,m-1), 0, ...
+    of V^T V.  No dense matrix is built, so no dimension cap applies.
     """
     _check_order(n, m)
     lo = _lowest_overlap(n, m)
     phi, tilde_phi, tilde_psi, psi = (FormMatrix(n, m, kind).weights[lo:] for kind in FORM_KINDS)
 
-    gramian = [m * math.comb(n - 1, m - 1), math.comb(n - 2, m - 1)]
-    gramian += [0] * (min(m, n - m) - 1)
+    gramian = [m * math.comb(n - 1, m - 1), math.comb(n - 2, m - 1)] + [0] * (min(m, n - m) - 1)
     gramian_exact = FormMatrix(n, m, "phi").eigenvalues == gramian
-
-    complement_exact = bool(np.array_equal(tilde_phi + phi,
-                                           float(m + 1) * np.ones_like(phi)))
+    complement_exact = bool(np.array_equal(tilde_phi + phi, float(m + 1) * np.ones_like(phi)))
     reciprocal_max_dev = float(np.max(np.abs(tilde_psi - 1.0 / tilde_phi)))
     affine = (m + 1) * (n - m + 1) * tilde_psi - (n + 1) * np.ones_like(psi)
     affine_max_dev = float(np.max(np.abs(psi - affine)))
     psi_scale = float(np.max(np.abs(psi))) or 1.0
     null_vector_max = float(abs(_theta(n, m, "psi", 0))) / psi_scale
 
-    ok = (gramian_exact and complement_exact
-          and reciprocal_max_dev <= tol
-          and affine_max_dev <= tol * psi_scale
-          and null_vector_max <= tol)
-    return StructureReport(gramian_exact, complement_exact,
-                           reciprocal_max_dev, affine_max_dev,
-                           null_vector_max, ok)
+    ok = (gramian_exact and complement_exact and reciprocal_max_dev <= tol
+          and affine_max_dev <= tol * psi_scale and null_vector_max <= tol)
+    return StructureReport(gramian_exact, complement_exact, reciprocal_max_dev,
+                           affine_max_dev, null_vector_max, ok)
 
 
 def binomial_identity_sum(n: int, m: int) -> Fraction:
-    """Exact rational value of the overlap-weight identity sum.
-
-    ``sum_j (m(n-m) - (m+1)(n-m+1)(m-j)/(m-j+1)) C(m,j) C(n-m,m-j)``
-    evaluated in big-integer rational arithmetic; conformant output is
-    exactly zero for every 1 <= m <= n-1.  It is the row sum theta_0 of
-    psi, since E_{m-j}(0) = C(m,j) C(n-m,m-j) counts the subsets at
-    overlap j from a fixed one.
-    """
+    """Exact value of ``sum_j (m(n-m) - (m+1)(n-m+1)(m-j)/(m-j+1)) C(m,j) C(n-m,m-j)``,
+    zero for every 1 <= m <= n-1: the row sum theta_0 of psi, since
+    C(m,j) C(n-m,m-j) subsets meet a fixed one in j elements."""
     _check_order(n, m)
     return _theta(n, m, "psi", 0)
 

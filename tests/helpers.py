@@ -1,17 +1,20 @@
 """Helpers that only the tests use: scalar minors on 1-based index sets,
 batched and exact minors as oracles of the Schur-complement tree,
 brute-force minor sums, polynomial roots by a companion matrix, the
-numpy-scalar coefficient recurrence, and a bitwise array comparison."""
+numpy-scalar coefficient recurrence, a bitwise array comparison, subset
+incidence vectors, and form eigenvalues through Eberlein polynomials."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from mnewton.charcoeff import CLOSURE_RTOL, ensure_conjugate_closed
 from mnewton.errors import InputError
-from mnewton.linalg import as_matrix, binomials, determinant, enumerate_subsets
+from mnewton.forms import _lowest_overlap, _weight
+from mnewton.linalg import _colex_masks, as_matrix, binomials, determinant, enumerate_subsets
 
 # brute-force minor enumeration bound (2^n determinants); override allowed.
 EXHAUSTIVE_MINOR_CAP = 16
@@ -152,3 +155,22 @@ def same_bits(a, b) -> bool:
         return False
     nan = np.isnan(a)
     return bool(np.array_equal(nan, np.isnan(b))) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+def incidence_matrix(n: int, m: int) -> np.ndarray:
+    """0/1 matrix with one row per colex size-m subset, one column per element."""
+    masks = _colex_masks(n, m)
+    return ((masks[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)).astype(np.int64)
+
+
+def eberlein(n: int, m: int, d: int, i: int) -> int:
+    """Eigenvalue on eigenspace i of the distance-d graph of the Johnson scheme J(n, m)."""
+    return sum((-1) ** h * math.comb(i, h) * math.comb(m - i, d - h)
+               * math.comb(n - m - i, d - h) for h in range(min(i, d) + 1))
+
+
+def eberlein_theta(n: int, m: int, kind: str, i: int) -> Fraction:
+    """Exact form eigenvalue sum_j f(j) E_{m-j}(i) on Johnson eigenspace i, as
+    an (m+1)-term sum of Eberlein values over the overlaps that occur."""
+    return sum((_weight(n, m, kind, j, Fraction(1)) * eberlein(n, m, m - j, i)
+                for j in range(_lowest_overlap(n, m), m + 1)), Fraction(0))

@@ -11,9 +11,11 @@ from mnewton.errors import InputError
 from mnewton.forms import (
     FORM_KINDS,
     FormMatrix,
+    _affine_reciprocal,
+    _theta,
+    _weight,
     binomial_identity_sum,
     build_form,
-    incidence_matrix,
     overlap_matrix,
     psd_check,
     quadratic_apply,
@@ -23,6 +25,8 @@ from mnewton.linalg import principal_minors_all
 from mnewton.mclass import GeneratorSpec, generate
 from mnewton.pairsums import MinorPairSums
 from mnewton.serialize import form_to_csv, form_to_dict
+
+from helpers import eberlein_theta, incidence_matrix
 
 
 def test_build_form_psi_2_1():
@@ -97,6 +101,20 @@ def test_eigenvalues_match_dense_spectrum():
                 dense = np.linalg.eigvalsh(f.entries)
                 scale = float(np.max(np.abs(dense)))
                 assert np.max(np.abs(np.array(spectrum) - dense)) <= 1e-9 * scale, (n, m, kind)
+
+
+def test_theta_matches_eberlein_oracle():
+    # the one sum over e against the (m+1)-term Eberlein sum, exactly, for every
+    # kind and eigenspace; and (a, b, c) against the paper's weight formulas
+    points = [(n, m) for n in range(2, 19) for m in range(1, n)] + [(40, 17), (60, 30), (101, 70)]
+    for n, m in points:
+        for kind in FORM_KINDS:
+            a, b, c = _affine_reciprocal(n, m, kind)
+            for d in range(min(m, n - m) + 1):
+                assert a + b * d + Fraction(c, d + 1) == _weight(n, m, kind, m - d, Fraction(1))
+            for i in range(min(m, n - m) + 1):
+                got = _theta(n, m, kind, i)
+                assert type(got) is Fraction and got == eberlein_theta(n, m, kind, i), (n, m, kind, i)
 
 
 def test_psd_check_psi_60_30_exact_without_entries():
