@@ -3,7 +3,8 @@
 Four screening conditions on a candidate spectrum: nonnegative power sums,
 the power-sum comparison s_k^m <= n^(m-1) s_{km} (the JLL condition), the
 Newton inequalities of the Perron-shifted tuple, and the Laffey-Meehan
-test (n-1) s_4 >= s_2^2 for traceless tuples.  Each condition reports
+test (n-1) s_4 >= s_2^2 for traceless tuples of odd order n (Laffey &
+Meehan 1999 state it for odd n only).  Each condition reports
 pass / fail / not-applicable with the decisive margin and witness; ``screen``
 keys them by name in the report the CLI emits as is.  ``construct_perturbed``
 builds the perturbed ten-tuple in closed form.
@@ -97,7 +98,11 @@ def _jll(s: np.ndarray, n: int, bound: int, tol: float) -> ConditionResult:
     # a scalar loop over Python floats: numpy's array power can differ from
     # the scalar one in the last bit, which would move margins
     s = s.tolist()
-    n_pow = [float(n) ** (m - 1) for m in range(bound + 1)]
+    try:
+        n_pow = [float(n) ** (m - 1) for m in range(bound + 1)]
+    except OverflowError:
+        raise InputError(f"jll bound {bound} is too large for n = {n}: "
+                         f"n^{bound - 1} overflows a double") from None
     worst = math.inf
     worst_pair = None
     for k in range(1, bound // 2 + 1):
@@ -146,7 +151,7 @@ def _newton_shift(vals: np.ndarray, tol: float) -> ConditionResult:
 
 
 def laffey_meehan_condition(values, tol: float = 1e-9) -> ConditionResult:
-    """(n-1) s_4 >= s_2^2, applicable only when the first moment vanishes."""
+    """(n-1) s_4 >= s_2^2, applicable only to odd n with vanishing first moment."""
     vals = ensure_conjugate_closed(values)
     return _laffey_meehan(vals, _power_sums(vals, 4), tol)
 
@@ -157,6 +162,8 @@ def _laffey_meehan(vals: np.ndarray, s: np.ndarray, tol: float) -> ConditionResu
     if abs(s[0]) > tol * max(1.0, abs_sum):
         return ConditionResult(NOT_APPLICABLE, None,
                                note="applicable only when the first moment is zero")
+    if n % 2 == 0:
+        return ConditionResult(NOT_APPLICABLE, None, note="applicable only for odd n")
     margin = float((n - 1) * s[3] - s[1] ** 2)
     scale = max(1.0, abs((n - 1) * s[3]), s[1] ** 2)
     status = PASS if margin >= -tol * scale else FAIL

@@ -149,6 +149,13 @@ def test_niep_screen_counterexample(capsys, tmp_path):
     assert lm["margin"] == -60.0
 
 
+def test_niep_screen_jll_bound_overflow_exits_two(capsys, tmp_path):
+    spec = write_json(tmp_path / "ones.json", {"values": [1.0] * 100})
+    code, out, err = run(capsys, ["niep-screen", "--spectrum", spec, "--jll-bound", "200"])
+    assert code == EXIT_USAGE and out == ""
+    assert "jll bound 200" in err and "n = 100" in err
+
+
 def test_niep_screen_report_is_the_screening_report(capsys, tmp_path):
     # the CLI adds only the command name to the library's report, field for field
     payload = {"values": [[2.0, 0.0], [-0.5, 0.5], [-0.5, -0.5], 0.25]}

@@ -82,6 +82,14 @@ def test_jll_validation():
         jll_condition((1.0,), bound=1)
 
 
+def test_jll_bound_beyond_double_range_is_input_error():
+    # 100^199 overflows a double: an input error, not a verdict or a traceback
+    with pytest.raises(InputError, match=r"jll bound 200 .*n = 100"):
+        jll_condition(np.ones(100), bound=200)
+    with pytest.raises(InputError, match=r"jll bound 200 .*n = 100"):
+        screen(np.ones(100), jll_bound=200)
+
+
 def test_newton_shift_passes_after_shift():
     res = newton_shift_condition(MOMENT_FAIL_TRIPLE)
     assert res.status == PASS  # shifted tuple is (0, 2, 2)
@@ -112,13 +120,24 @@ def test_laffey_meehan_cases():
     res = laffey_meehan_condition(LAFFEY_FAIL_FIVE)
     assert res.status == FAIL
     assert res.margin == -60.0
-    res = laffey_meehan_condition(TEN_TUPLE)
+    res = laffey_meehan_condition((4.0, -1.0, -1.0, -1.0, -1.0))   # J - I of order 5
     assert res.status == PASS
-    assert res.margin == 450.0
+    assert res.margin == 640.0
     res = laffey_meehan_condition((0.0, 0.0, 0.0))
     assert res.status == PASS
     assert res.margin == 0.0
     assert laffey_meehan_condition((1.0, 2.0)).status == NOT_APPLICABLE
+
+
+def test_laffey_meehan_not_applicable_for_even_n():
+    # direct sums of 2-cycles are realizable; the theorem is stated for odd n
+    for values in ((1.0, -1.0, 1.0, -1.0), (1.0, -1.0) * 3):
+        res = laffey_meehan_condition(values)
+        assert res.status == NOT_APPLICABLE and res.margin is None
+        assert screen(values).all_pass
+    assert laffey_meehan_condition(TEN_TUPLE).status == NOT_APPLICABLE
+    # the first-moment test still comes first
+    assert laffey_meehan_condition((1.0, 2.0)).note == "applicable only when the first moment is zero"
 
 
 SCREEN_SPECTRA = {
