@@ -103,8 +103,7 @@ class FormMatrix:
 
     @property
     def eigenvalues(self) -> list[Fraction]:
-        """Exact eigenvalues theta_i of the rational form, i = 0..min(m, n-m),
-        each one O(m) integer sum (``_theta``).
+        """Exact eigenvalues theta_i, i = 0..min(m, n-m), each one O(m) integer sum.
 
         Eigenspace i has multiplicity C(n, i) - C(n, i-1); i = 0 is spanned
         by the all-ones vector, so theta_0 is the common row sum.
@@ -149,9 +148,8 @@ def build_form(n: int, m: int, kind: str) -> FormMatrix:
 
 
 def psd_check(form: FormMatrix, tol: float = 1e-8) -> tuple[bool, float]:
-    """(is_psd, min_eigenvalue) from the exact minimum Johnson-scheme eigenvalue,
-    with threshold ``-tol * maxabs(entries)`` read off the weights of the
-    overlaps that occur: no dense matrix is built, so no cap applies."""
+    """(is_psd, min_eigenvalue) from the exact minimum Johnson-scheme eigenvalue, with
+    threshold ``-tol * maxabs(entries)`` over the weights of the overlaps that occur."""
     min_eig = float(min(form.eigenvalues))
     maxabs = float(np.max(np.abs(form.weights[_lowest_overlap(form.n, form.m):])))
     return min_eig >= -tol * maxabs, min_eig
@@ -182,7 +180,6 @@ def structure_checks(n: int, m: int, tol: float = 1e-10) -> StructureReport:
     _check_order(n, m)
     lo = _lowest_overlap(n, m)
     phi, tilde_phi, tilde_psi, psi = (FormMatrix(n, m, kind).weights[lo:] for kind in FORM_KINDS)
-
     gramian = [m * math.comb(n - 1, m - 1), math.comb(n - 2, m - 1)] + [0] * (min(m, n - m) - 1)
     gramian_exact = FormMatrix(n, m, "phi").eigenvalues == gramian
     complement_exact = bool(np.array_equal(tilde_phi + phi, float(m + 1) * np.ones_like(phi)))
@@ -214,6 +211,5 @@ def quadratic_apply(form: FormMatrix, t) -> float:
     """
     vec = np.asarray(t, dtype=float).ravel()
     if vec.size != form.dim:
-        raise InputError(
-            f"vector length {vec.size} does not match form dimension {form.dim}")
+        raise InputError(f"vector length {vec.size} does not match form dimension {form.dim}")
     return float(vec @ form.entries @ vec)

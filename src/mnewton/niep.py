@@ -3,8 +3,7 @@
 Four screening conditions on a candidate spectrum: nonnegative power sums,
 the power-sum comparison s_k^m <= n^(m-1) s_{km} (the JLL condition), the
 Newton inequalities of the Perron-shifted tuple, and the Laffey-Meehan
-test (n-1) s_4 >= s_2^2 for traceless tuples of odd order n (Laffey &
-Meehan 1999 state it for odd n only).  Each condition reports
+test (n-1) s_4 >= s_2^2 for traceless tuples of odd n.  Each condition reports
 pass / fail / not-applicable with the decisive margin and witness; ``screen``
 keys them by name in the report the CLI emits as is.  ``construct_perturbed``
 builds the perturbed ten-tuple in closed form.
@@ -101,7 +100,7 @@ def _jll(s: np.ndarray, n: int, bound: int, tol: float) -> ConditionResult:
     try:
         n_pow = [float(n) ** (m - 1) for m in range(bound + 1)]
     except OverflowError:
-        raise InputError(f"jll bound {bound} is too large for n = {n}: "
+        raise InputError(f"jll bound {bound} too large for n = {n}: "
                          f"n^{bound - 1} overflows a double") from None
     worst = math.inf
     worst_pair = None
