@@ -39,6 +39,7 @@ from .niep import (
     moments,
     newton_shift_condition,
     screen,
+    screen_many,
 )
 from .pairsums import (
     MinorPairSums,
@@ -88,5 +89,6 @@ __all__ = [
     "quadratic_apply",
     "ratio_check",
     "screen",
+    "screen_many",
     "structure_checks",
 ]

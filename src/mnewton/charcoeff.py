@@ -69,27 +69,33 @@ def coeffs_from_spectrum(values) -> np.ndarray:
     conjugation-closed; the residual imaginary part is discarded when below
     ``CLOSURE_RTOL * scale`` and rejected otherwise.
     """
-    return _coeffs(ensure_conjugate_closed(values))
+    return _coeffs(ensure_conjugate_closed(values)[None])[0]
 
 
 def _coeffs(vals: np.ndarray) -> np.ndarray:
-    """The recurrence of :func:`coeffs_from_spectrum` on a validated spectrum.
+    """The recurrence of :func:`coeffs_from_spectrum` on each row of a
+    ``(B, n)`` block of validated spectra.
 
-    It runs on Python complex numbers: the same IEEE products and sums as
-    numpy scalars, bit for bit, at a fraction of the cost per operation.
+    Root i = a + bi updates every old e_j = c + di, held as a float pair,
+    by (a, a)·(c, d) + (-b, b)·(d, c): the IEEE operations of CPython's
+    complex multiply, which numpy's complex array multiply does not do.
     """
-    n = vals.size
-    e = [1.0 + 0.0j] + [0.0j] * n
-    for i, r in enumerate(vals.tolist()):
-        for j in range(i + 1, 0, -1):
-            e[j] += r * e[j - 1]
-    e = np.array(e)
-    scale = max(1.0, float(np.max(np.abs(e))))
-    resid = float(np.max(np.abs(e.imag)))
-    if resid > CLOSURE_RTOL * scale:
-        raise InputError(
-            f"symmetric functions retain imaginary residue {resid:g} beyond tolerance")
-    return e.real / binomials(n)
+    n = vals.shape[1]
+    e = np.zeros((len(vals), n + 1, 2))
+    e[:, 0, 0] = 1.0
+    re, im = vals.real.T[:, :, None, None], vals.imag.T[:, :, None, None]
+    same, swap = np.concatenate([re, re], axis=3), np.concatenate([-im, im], axis=3)
+    with np.errstate(all="ignore"):     # as on Python floats: no warnings
+        for i in range(n):
+            old = e[:, :i + 1]
+            e[:, 1:i + 2] += same[i] * old + swap[i] * old[:, :, ::-1]
+    z = e.view(complex)[:, :, 0]
+    scale = np.fmax(1.0, np.max(np.abs(z), axis=1))
+    resid = np.max(np.abs(z.imag), axis=1)
+    if np.any(bad := resid > CLOSURE_RTOL * scale):
+        raise InputError("symmetric functions retain imaginary residue "
+                         f"{resid[bad][0]:g} beyond tolerance")
+    return z.real / binomials(n)
 
 
 @dataclass(frozen=True)
@@ -111,13 +117,17 @@ def newton_check(c, tol: float = 1e-9) -> NewtonReport:
         raise InputError("coefficient vector must be nonempty")
     if abs(cv[0] - 1.0) > 1e-9:
         raise InputError(f"coefficient vector must be normalized with c_0 = 1, got {cv[0]!r}")
-    n = cv.size - 1
-    if n < 2:
-        return NewtonReport(np.zeros(0), True, None)
-    mid = cv[1:n]
-    margins = mid * mid - cv[0:n - 1] * cv[2:n + 1]
+    margins, holds, worst_j = _newton(cv[None], tol)
+    return NewtonReport(margins[0], bool(holds[0]), worst_j[0])
+
+
+def _newton(c: np.ndarray, tol: float):
+    """Margins, verdicts and worst j (a list) of each row of a ``(B, n+1)``
+    block of normalized coefficients; the worst j is None when n < 2."""
+    mid = c[:, 1:-1]
+    margins = mid * mid - c[:, :-2] * c[:, 2:]
     ref = np.maximum(1.0, mid * mid)
-    thresh = np.maximum(tol * ref, NEWTON_TOL_FLOOR)
-    holds = bool(np.all(margins >= -thresh))
-    worst_j = int(np.argmin(margins / ref)) + 1
-    return NewtonReport(margins, holds, worst_j)
+    holds = np.all(margins >= -np.maximum(tol * ref, NEWTON_TOL_FLOOR), axis=1)
+    if not mid.shape[1]:
+        return margins, holds, [None] * len(c)
+    return margins, holds, (np.argmin(margins / ref, axis=1) + 1).tolist()

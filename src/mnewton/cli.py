@@ -195,25 +195,25 @@ def _cmd_identity(args):
                 "sum": str(total), "is_zero": ok}
 
 
-def _screen_report(path, args, **tag) -> dict:
-    """Screen one spectrum file; the report's fields are splatted one level deep."""
-    rep = niep.screen(_load_spectrum(str(path)), moment_k=args.moment_k,
-                      jll_bound=args.jll_bound, tol=args.tol)
+def _report_dict(rep, **tag) -> dict:
+    """A screening report with its fields splatted one level deep."""
     return {**vars(rep), "conditions": {k: vars(c) for k, c in rep.conditions.items()},
             **tag}
 
 
 def _cmd_niep_screen(args):
     path = Path(args.spectrum)
-    if path.is_dir():
-        files = sorted(f for f in path.iterdir() if f.suffix == ".json")
-        if not files:
-            raise InputError(f"no .json spectra found in {path}")
-        reports = [_screen_report(f, args, file=f.name) for f in files]
-        ok = all(r["all_pass"] for r in reports)
-        return ok, {"command": "niep-screen", "reports": reports, "all_pass": ok}
-    rep = _screen_report(path, args, command="niep-screen")
-    return rep["all_pass"], rep
+    files = sorted(f for f in path.iterdir() if f.suffix == ".json") if path.is_dir() else [path]
+    if not files:
+        raise InputError(f"no .json spectra found in {path}")
+    # files load lazily, so the first bad file in sorted order is the one reported
+    reps = niep.screen_many((_load_spectrum(str(f)) for f in files), moment_k=args.moment_k,
+                            jll_bound=args.jll_bound, tol=args.tol)
+    if not path.is_dir():
+        return reps[0].all_pass, _report_dict(reps[0], command="niep-screen")
+    reports = [_report_dict(r, file=f.name) for r, f in zip(reps, files)]
+    ok = all(r.all_pass for r in reps)
+    return ok, {"command": "niep-screen", "reports": reports, "all_pass": ok}
 
 
 def _cmd_gen(args):

@@ -198,4 +198,6 @@ def principal_minors_all(a, m: int) -> np.ndarray:
 
 def binomials(n: int) -> np.ndarray:
     """Vector (C(n,0), ..., C(n,n)) as floats."""
+    if n > 1029:    # C(1029, 514) is the last middle binomial below 2^1024
+        raise InputError(f"order n = {n} too large: C(n, n // 2) overflows a double")
     return np.array([math.comb(n, j) for j in range(n + 1)], dtype=float)

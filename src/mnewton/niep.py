@@ -8,13 +8,15 @@ pass / fail / not-applicable with the decisive margin and witness; ``screen``
 keys them by name in the report the CLI emits as is.  ``construct_perturbed``
 builds the perturbed ten-tuple in closed form.
 
-``screen`` makes one pass per spectrum: it validates conjugate closure once,
-builds one table of power sums s_1..s_max(K, bound, 4), and hands both to
-the four private kernels.  Each public condition function validates and
-then calls the same kernel, so each condition has one route.  The scalar
-loops (the JLL comparison, the coefficient recurrence) run on Python
-numbers, which round exactly as numpy scalars do; numpy's array forms do
-not always, so they are not vectorized.
+``screen_many`` validates each spectrum, then runs each condition kernel
+once per size n on a ``(B, n)`` block with one power-sum table
+s_1..s_max(K, bound, 4); ``screen`` and each public condition function
+are batches of one.  The kernels keep the bits of a per-spectrum scalar
+pass: the power sums are ``V ** k`` summed over the last axis; the
+coefficient recurrence does CPython's complex multiply on float pairs;
+the JLL powers s_k^m are Python float powers (numpy's float64 power
+differs in the last bit) with overflow as +-inf, and the worst slack
+skips NaN and keeps the first (k, m) of a tie.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charcoeff import _coeffs, ensure_conjugate_closed, newton_check
+from .charcoeff import _coeffs, _newton, ensure_conjugate_closed
 from .errors import InputError
+from .linalg import binomials
 
 PASS = "pass"
 FAIL = "fail"
@@ -34,11 +37,14 @@ NOT_APPLICABLE = "not-applicable"
 DEFAULT_MOMENT_K = 20
 DEFAULT_JLL_BOUND = 30
 
+# entries of one block's power table (B x K x n complex): 16 MiB
+_BLOCK_ENTRIES = 1 << 20
+
 
 def moments(values, k_max: int) -> np.ndarray:
     """Power sums s_1..s_K of a conjugation-closed spectrum (real parts)."""
     _check_moment_k(k_max)
-    return _power_sums(ensure_conjugate_closed(values), k_max)
+    return _power_sums(ensure_conjugate_closed(values)[None], k_max)[0]
 
 
 def _check_moment_k(k_max: int) -> None:
@@ -46,16 +52,20 @@ def _check_moment_k(k_max: int) -> None:
         raise InputError("moment order K must be >= 1")
 
 
-def _check_jll_bound(bound: int) -> None:
+def _check_jll_bound(bound: int, n: int = 1) -> None:
     if bound < 2:
         raise InputError("jll bound must be >= 2")
+    try:
+        float(n) ** (bound - 1)
+    except OverflowError:
+        raise InputError(f"jll bound {bound} too large for n = {n}: "
+                         f"n^{bound - 1} overflows a double") from None
 
 
 def _power_sums(vals: np.ndarray, k_max: int) -> np.ndarray:
-    # s_k depends only on row k of the table, so a longer table extends a
-    # shorter one bit for bit
-    powers = vals[None, :] ** np.arange(1, k_max + 1)[:, None]
-    return powers.sum(axis=1).real
+    # s_k reads only slice k, so a longer table extends a shorter one bit for bit
+    powers = vals[:, None, :] ** np.arange(1, k_max + 1)[None, :, None]
+    return powers.sum(axis=2).real
 
 
 @dataclass(frozen=True)
@@ -69,17 +79,17 @@ class ConditionResult:
 def moment_condition(values, k_max: int = DEFAULT_MOMENT_K,
                      tol: float = 1e-9) -> ConditionResult:
     """All power sums up to k_max must be nonnegative; margin is the smallest."""
-    return _moment(moments(values, k_max), k_max, tol)
+    return _moment(moments(values, k_max)[None], k_max, tol)[0]
 
 
-def _moment(s: np.ndarray, k_max: int, tol: float) -> ConditionResult:
-    s = s[:k_max]
-    scale = max(1.0, float(np.max(np.abs(s))))
-    worst = int(np.argmin(s))
-    margin = float(s[worst])
-    status = PASS if margin >= -tol * scale else FAIL
-    return ConditionResult(status, margin, witness=worst + 1,
-                           note=f"verified for k <= {k_max}")
+def _moment(s: np.ndarray, k_max: int, tol: float) -> list[ConditionResult]:
+    s = s[:, :k_max]
+    worst = np.argmin(s, axis=1)
+    margin = s[np.arange(len(s)), worst]
+    ok = margin >= -tol * np.fmax(1.0, np.max(np.abs(s), axis=1))
+    return [ConditionResult(PASS if p else FAIL, m, witness=w + 1,
+                            note=f"verified for k <= {k_max}")
+            for p, m, w in zip(ok.tolist(), margin.tolist(), worst.tolist())]
 
 
 def jll_condition(values, bound: int = DEFAULT_JLL_BOUND,
@@ -90,34 +100,33 @@ def jll_condition(values, bound: int = DEFAULT_JLL_BOUND,
     """
     _check_jll_bound(bound)
     vals = ensure_conjugate_closed(values)
-    return _jll(_power_sums(vals, bound), vals.size, bound, tol)
+    _check_jll_bound(bound, vals.size)
+    return _jll(_power_sums(vals[None], bound), vals.size, bound, tol)[0]
 
 
-def _jll(s: np.ndarray, n: int, bound: int, tol: float) -> ConditionResult:
-    # a scalar loop over Python floats: numpy's array power can differ from
-    # the scalar one in the last bit, which would move margins
-    s = s.tolist()
+def _float_pow(x: float, m: int) -> float:
     try:
-        n_pow = [float(n) ** (m - 1) for m in range(bound + 1)]
-    except OverflowError:
-        raise InputError(f"jll bound {bound} too large for n = {n}: "
-                         f"n^{bound - 1} overflows a double") from None
-    worst = math.inf
-    worst_pair = None
-    for k in range(1, bound // 2 + 1):
-        sk = s[k - 1]
-        for m in range(2, bound // k + 1):
-            try:
-                lhs = sk ** m
-            except OverflowError:   # numpy's scalar power gives +-inf here
-                lhs = math.copysign(math.inf, sk) if m % 2 else math.inf
-            rhs = n_pow[m] * s[k * m - 1]
-            slack = (rhs - lhs) / max(1.0, abs(lhs), abs(rhs))
-            if slack < worst:
-                worst, worst_pair = slack, (k, m)
-    status = PASS if worst >= -tol else FAIL
-    return ConditionResult(status, worst, witness=worst_pair,
-                           note=f"verified up to bound k*m <= {bound}")
+        return x ** m
+    except OverflowError:   # numpy's scalar power gives +-inf here
+        return math.copysign(math.inf, x) if m % 2 else math.inf
+
+
+def _jll(s: np.ndarray, n: int, bound: int, tol: float) -> list[ConditionResult]:
+    pairs = [(k, m) for k in range(1, bound // 2 + 1) for m in range(2, bound // k + 1)]
+    k, m = np.array(pairs).T
+    sk = s[:, k - 1]
+    lhs = np.array([_float_pow(x, e) for x, e in zip(sk.ravel().tolist(), m.tolist() * len(s))]
+                   ).reshape(sk.shape)
+    with np.errstate(all="ignore"):     # as on Python floats: no warnings
+        rhs = np.array([float(n) ** (e - 1) for e in m.tolist()]) * s[:, k * m - 1]
+        slack = (rhs - lhs) / np.fmax(np.fmax(1.0, np.abs(lhs)), np.abs(rhs))
+    slack[np.isnan(slack)] = math.inf
+    worst = np.argmin(slack, axis=1)
+    margin = slack[np.arange(len(s)), worst]
+    note = f"verified up to bound k*m <= {bound}"
+    return [ConditionResult(PASS if g >= -tol else FAIL, g,
+                            witness=pairs[w] if g < math.inf else None, note=note)
+            for g, w in zip(margin.tolist(), worst.tolist())]
 
 
 def newton_shift_condition(values, tol: float = 1e-9) -> ConditionResult:
@@ -128,45 +137,49 @@ def newton_shift_condition(values, tol: float = 1e-9) -> ConditionResult:
     nonnegative representative, and a spectrum with no such candidate is
     unrealizable outright, so the condition reports not-applicable.
     """
-    return _newton_shift(ensure_conjugate_closed(values), tol)
+    return _newton_shift(ensure_conjugate_closed(values)[None], tol)[0]
 
 
-def _newton_shift(vals: np.ndarray, tol: float) -> ConditionResult:
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    maxmod = float(np.max(np.abs(vals)))
-    near = np.abs(np.abs(vals) - maxmod) <= tol * scale
-    real_nonneg = (np.abs(vals.imag) <= tol * scale) & (vals.real >= -tol * scale)
-    cands = np.nonzero(near & real_nonneg)[0]
-    if cands.size == 0:
-        return ConditionResult(NOT_APPLICABLE, None,
-                               note="maximum-modulus element is not real nonnegative")
-    lam1 = float(vals[cands[0]].real)
+def _newton_shift(vals: np.ndarray, tol: float) -> list[ConditionResult]:
+    mod = np.abs(vals)
+    maxmod = np.max(mod, axis=1, keepdims=True)
+    scale = np.fmax(1.0, maxmod)
+    cands = ((np.abs(mod - maxmod) <= tol * scale) & (np.abs(vals.imag) <= tol * scale)
+             & (vals.real >= -tol * scale))     # Perron candidates
+    has = np.flatnonzero(cands.any(axis=1))
+    lam1 = vals.real[has, np.argmax(cands[has], axis=1)]
     # a real shift of a conjugation-closed spectrum is conjugation-closed
-    report = newton_check(_coeffs(lam1 - vals), tol)
-    margin = float(np.min(report.margins)) if report.margins.size else 0.0
-    status = PASS if report.holds else FAIL
-    return ConditionResult(status, margin,
-                           witness=report.worst_j, note=f"shift by {lam1:.12g}")
+    margins, holds, worst_j = _newton(_coeffs(lam1[:, None] - vals[has]), tol)
+    least = margins.min(axis=1).tolist() if margins.shape[1] else [0.0] * has.size
+    out = [ConditionResult(NOT_APPLICABLE, None,
+                           note="maximum-modulus element is not real nonnegative")] * len(vals)
+    for r, lam, mu, ok, j in zip(has.tolist(), lam1.tolist(), least, holds.tolist(), worst_j):
+        out[r] = ConditionResult(PASS if ok else FAIL, mu, witness=j,
+                                 note=f"shift by {lam:.12g}")
+    return out
 
 
 def laffey_meehan_condition(values, tol: float = 1e-9) -> ConditionResult:
     """(n-1) s_4 >= s_2^2, applicable only to odd n with vanishing first moment."""
-    vals = ensure_conjugate_closed(values)
-    return _laffey_meehan(vals, _power_sums(vals, 4), tol)
+    vals = ensure_conjugate_closed(values)[None]
+    return _laffey_meehan(vals, _power_sums(vals, 4), tol)[0]
 
 
-def _laffey_meehan(vals: np.ndarray, s: np.ndarray, tol: float) -> ConditionResult:
-    n = vals.size
-    abs_sum = float(np.sum(np.abs(vals)))
-    if abs(s[0]) > tol * max(1.0, abs_sum):
-        return ConditionResult(NOT_APPLICABLE, None,
-                               note="applicable only when the first moment is zero")
-    if n % 2 == 0:
-        return ConditionResult(NOT_APPLICABLE, None, note="applicable only for odd n")
-    margin = float((n - 1) * s[3] - s[1] ** 2)
-    scale = max(1.0, abs((n - 1) * s[3]), s[1] ** 2)
-    status = PASS if margin >= -tol * scale else FAIL
-    return ConditionResult(status, margin)
+def _laffey_meehan(vals: np.ndarray, s: np.ndarray, tol: float) -> list[ConditionResult]:
+    n = vals.shape[1]
+    moved = np.abs(s[:, 0]) > tol * np.fmax(1.0, np.sum(np.abs(vals), axis=1))
+    # the C library's pow, as numpy's scalar s_2 ** 2 takes it
+    s2sq = np.array([_float_pow(x, 2) for x in s[:, 1].tolist()])
+    with np.errstate(all="ignore"):     # rows that are not applicable warn of nothing
+        s4 = (n - 1) * s[:, 3]
+        margin = s4 - s2sq
+    ok = margin >= -tol * np.fmax(np.fmax(1.0, np.abs(s4)), s2sq)
+    moment_na = ConditionResult(NOT_APPLICABLE, None,
+                                note="applicable only when the first moment is zero")
+    even_na = ConditionResult(NOT_APPLICABLE, None, note="applicable only for odd n")
+    return [moment_na if mv else even_na if n % 2 == 0 else
+            ConditionResult(PASS if p else FAIL, mu)
+            for mv, mu, p in zip(moved.tolist(), margin.tolist(), ok.tolist())]
 
 
 @dataclass(frozen=True)
@@ -181,23 +194,46 @@ def screen(values, moment_k: int = DEFAULT_MOMENT_K,
            jll_bound: int = DEFAULT_JLL_BOUND, tol: float = 1e-9) -> ScreeningReport:
     """Run all four conditions with shared tolerances on one spectrum.
 
-    One pass: the spectrum is validated once and its power sums
-    s_1..s_max(moment_k, jll_bound, 4) are built once; every condition
-    reads them, with the same results as its public function.
+    A batch of one for :func:`screen_many`: every condition gives the same
+    result as its public function.
     """
-    vals = ensure_conjugate_closed(values)
-    _check_moment_k(moment_k)
-    _check_jll_bound(jll_bound)
-    s = _power_sums(vals, max(moment_k, jll_bound, 4))
-    conditions = {
-        "moments": _moment(s, moment_k, tol),
-        "jll": _jll(s, vals.size, jll_bound, tol),
-        "newton_shift": _newton_shift(vals, tol),
-        "laffey_meehan": _laffey_meehan(vals, s, tol),
-    }
-    params = {"moment_k": moment_k, "jll_bound": jll_bound, "tol": tol}
-    return ScreeningReport(vals.size, conditions, params,
-                           all(c.status != FAIL for c in conditions.values()))
+    return screen_many([values], moment_k, jll_bound, tol)[0]
+
+
+def screen_many(spectra, moment_k: int = DEFAULT_MOMENT_K,
+                jll_bound: int = DEFAULT_JLL_BOUND, tol: float = 1e-9) -> list[ScreeningReport]:
+    """Screen every spectrum of an iterable, in blocks of one size; the
+    reports keep its order.  Each item is checked as it is drawn (closure,
+    ``moment_k``, ``jll_bound``, then n: C(n, n/2) and n^(jll_bound-1) must
+    be doubles); only the coefficients' imaginary-residue error comes later.
+    """
+    vals = []
+    groups: dict[int, list[int]] = {}
+    for values in spectra:
+        v = ensure_conjugate_closed(values)
+        _check_moment_k(moment_k)
+        _check_jll_bound(jll_bound, v.size)
+        if v.size not in groups:
+            binomials(v.size)       # raises when C(n, n/2) is not a double
+            groups[v.size] = []
+        groups[v.size].append(len(vals))
+        vals.append(v)
+    k_all = max(moment_k, jll_bound, 4)
+    reports = [None] * len(vals)
+    for n, where in groups.items():
+        step = max(1, _BLOCK_ENTRIES // (k_all * n))
+        for lo in range(0, len(where), step):
+            rows = where[lo:lo + step]
+            block = np.stack([vals[i] for i in rows])
+            s = _power_sums(block, k_all)
+            per_row = zip(_moment(s, moment_k, tol), _jll(s, n, jll_bound, tol),
+                          _newton_shift(block, tol), _laffey_meehan(block, s, tol))
+            for i, conds in zip(rows, per_row):
+                reports[i] = ScreeningReport(
+                    n, dict(zip(("moments", "jll", "newton_shift", "laffey_meehan"), conds)),
+                    {"moment_k": moment_k, "jll_bound": jll_bound, "tol": tol},
+                    all(c.status != FAIL for c in conds))
+    return reports
 
 
 # Real 10-tuple with zero first and third moments, positive even moments.

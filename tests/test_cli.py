@@ -1,12 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mnewton.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from mnewton.mclass import GeneratorSpec, generate
-from mnewton.niep import screen
+from mnewton.niep import construct_perturbed, screen
 from mnewton.serialize import dumps_report, matrix_to_dict, spectrum_from_dict
 
 
@@ -166,23 +170,94 @@ def test_niep_screen_report_is_the_screening_report(capsys, tmp_path):
     assert code == (EXIT_OK if rep.all_pass else EXIT_VIOLATION)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_niep_screen_directory_batch(capsys, tmp_path):
     batch = tmp_path / "batch"
     batch.mkdir()
     write_json(batch / "b_pass.json", {"values": [1.0, 0.5]})
     write_json(batch / "a_fail.json", {"values": [3.0, 3.0, -2.0, -2.0, -2.0]})
     write_json(batch / "c_complex.json", {"values": [[2.0, 0.0], [-0.5, 0.5], [-0.5, -0.5]]})
+    # sizes interleave, so one batch per size must still report in file order
+    write_json(batch / "d_one.json", {"values": [2.5]})
+    write_json(batch / "e_ten.json", {"values": list(construct_perturbed(1e-3))})
+    write_json(batch / "f_pass.json", {"values": [4.0, -1.0, -1.0, -1.0, -1.0]})
+    write_json(batch / "g_big.json", {"values": [1e200, 1.0, 1.0]})
+    write_json(batch / "notes.txt", {"values": [[0.0, 1.0]]})
     code, out, _ = run(capsys, ["niep-screen", "--spectrum", str(batch)])
     assert code == EXIT_VIOLATION
     rep = json.loads(out)
     names = [r["file"] for r in rep["reports"]]
-    assert names == ["a_fail.json", "b_pass.json", "c_complex.json"]
+    assert names == ["a_fail.json", "b_pass.json", "c_complex.json", "d_one.json",
+                     "e_ten.json", "f_pass.json", "g_big.json"]
     assert rep["all_pass"] is False
     for entry, name in zip(rep["reports"], names):
         _, single_out, _ = run(capsys, ["niep-screen", "--spectrum", str(batch / name)])
         single = json.loads(single_out)
         assert single.pop("command") == "niep-screen"
         assert entry == {**single, "file": name}
+
+
+MALFORMED = "{not json"
+
+
+@pytest.mark.parametrize("first, second, args, message", [
+    ({"values": [[0.0, 1.0]]}, MALFORMED, [], "not closed under conjugation"),
+    ({"values": [1.0] * 100}, MALFORMED, ["--jll-bound", "200"], "jll bound 200"),
+    ({"values": [2.0] * 1100}, {"values": [[0.0, 1.0]]}, [], "n = 1100"),
+    ({"values": [1.0, 2.0]}, MALFORMED, ["--moment-k", "0"], "moment order K"),
+    (MALFORMED, {"values": [[0.0, 1.0]]}, [], "malformed JSON"),
+])
+def test_niep_screen_directory_reports_the_first_bad_file(capsys, tmp_path, first, second,
+                                                          args, message):
+    # load, closure, moment_k, jll_bound and order are checked file by file
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    write_json(batch / "a_good.json", {"values": [1.0, 0.5]})
+    for name, payload in (("b_first.json", first), ("c_second.json", second)):
+        if payload == MALFORMED:
+            (batch / name).write_text(payload)
+        else:
+            write_json(batch / name, payload)
+    code, out, err = run(capsys, ["niep-screen", "--spectrum", str(batch), *args])
+    assert code == EXIT_USAGE and out == ""
+    assert message in err
+    assert ("b_first.json" in err) == (first == MALFORMED)
+
+
+def test_niep_screen_residue_error_comes_after_every_file_loads(capsys, tmp_path):
+    # the coefficients' imaginary residue is found in the batch, after loading
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    write_json(batch / "a_residue.json", {"values": [[0.5, 0.9e-9]] * 4})
+    (batch / "b_bad.json").write_text(MALFORMED)
+    code, _, err = run(capsys, ["niep-screen", "--spectrum", str(batch)])
+    assert code == EXIT_USAGE and "b_bad.json" in err and "malformed JSON" in err
+    (batch / "b_bad.json").unlink()
+    code, _, err = run(capsys, ["niep-screen", "--spectrum", str(batch)])
+    assert code == EXIT_USAGE and "imaginary residue 3.6e-09" in err
+
+
+@pytest.mark.parametrize("command", [["coeffs"], ["newton"], ["niep-screen"]])
+def test_order_beyond_double_binomials_exits_two(capsys, tmp_path, command):
+    spec = write_json(tmp_path / "big.json", {"values": [2.0] * 1100})
+    code, out, err = run(capsys, [*command, "--spectrum", spec])
+    assert code == EXIT_USAGE and out == ""
+    assert "n = 1100" in err
+
+
+def test_niep_screen_overflow_warnings_do_not_grow_with_files(tmp_path):
+    # a single [1e200, 1, 1] prints six numpy RuntimeWarnings; more such files print no more
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    for i, values in enumerate(([1e200, 1.0, 1.0], [1.0, 1e200, 1.0], [1e250, 2.0, 1.0],
+                                [3e200, 0.5, 1.0])):
+        write_json(batch / f"s{i}.json", {"values": values})
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "mnewton.cli", "niep-screen",
+                           "--spectrum", str(batch)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == EXIT_VIOLATION
+    assert 0 < proc.stderr.count("RuntimeWarning") <= 6
 
 
 def test_gen_pipes_into_classify(capsys, tmp_path):

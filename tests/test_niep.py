@@ -18,6 +18,7 @@ from mnewton.niep import (
     moments,
     newton_shift_condition,
     screen,
+    screen_many,
 )
 
 from helpers import poly_roots
@@ -189,6 +190,86 @@ def test_screen_conditions_equal_the_public_functions(name, k_max, bound):
         got = rep.conditions[cond]
         for field in ("status", "margin", "witness", "note"):
             assert _same_value(getattr(got, field), getattr(want, field)), (cond, field)
+
+
+def _family_spectra():
+    """Mixed sizes in a shuffled order: the five niep-batch families at n = 3..12,
+    the edge cases n = 1 and 2, no Perron candidate, an overflowing power
+    table and an all-NaN JLL slack."""
+    rng = np.random.default_rng(404)
+    out = []
+    for n in range(3, 13):
+        b = rng.uniform(0.0, 1.0, (n, n))
+        row = (rng.uniform(size=n) < 0.5).astype(float)
+        row[0], row[1] = 0.0, 1.0
+        out += [np.linalg.eigvals(rng.uniform(0.01, 1.0, (n, n))),
+                np.linalg.eigvalsh(b + b.T),
+                np.fft.fft(row),
+                construct_perturbed(float(rng.uniform(1e-4, 1e-2))),
+                float(rng.uniform(0.1, 10.0)) * np.array(LAFFEY_FAIL_FIVE)]
+    out += [(2.5,), (1.0, -1.0), (-3.0, 1.0, 1.0), (2j, -2j, 1.0), (1e200, 1.0, 1.0),
+            (1e200 + 1e200j, 1e200 - 1e200j)]
+    return [out[i] for i in rng.permutation(len(out))]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("block", [None, 1, 97])
+@pytest.mark.parametrize("k_max, bound", SCREEN_PARAMS + ((25, 2),))
+def test_screen_many_equals_screen_on_each(monkeypatch, k_max, bound, block):
+    spectra = _family_spectra()
+    want = [screen(v, k_max, bound, 1e-9) for v in spectra]
+    if block is not None:       # blocks of one row and blocks that split a size group
+        monkeypatch.setattr(niep, "_BLOCK_ENTRIES", block)
+    got = screen_many(iter(spectra), k_max, bound, 1e-9)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.n, g.params, g.all_pass) == (w.n, w.params, w.all_pass)
+        assert list(g.conditions) == list(w.conditions)
+        for cond, res in w.conditions.items():
+            for field in ("status", "margin", "witness", "note"):
+                assert _same_value(getattr(g.conditions[cond], field), getattr(res, field)), \
+                    (cond, field)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_screen_many_covers_the_named_edge_cases():
+    reps = screen_many([(1e200, 1.0, 1.0), (1e200 + 1e200j, 1e200 - 1e200j), (-3.0, 1.0, 1.0)])
+    for rep in reps[:2]:        # every JLL slack is NaN: no witness, margin inf
+        jll = rep.conditions["jll"]
+        assert (jll.status, jll.margin, jll.witness) == (PASS, math.inf, None)
+    assert reps[2].conditions["newton_shift"].status == NOT_APPLICABLE
+    assert screen_many([]) == []
+
+
+def test_screen_many_reports_the_first_bad_item_as_drawn():
+    drawn = []
+
+    def spectra():
+        for v in ((1.0, 2.0), (1j,), (1.0,) * 100, "never drawn"):
+            drawn.append(v)
+            yield v
+
+    with pytest.raises(InputError, match="not closed under conjugation"):
+        screen_many(spectra())
+    assert len(drawn) == 2
+    with pytest.raises(InputError, match=r"jll bound 200 .*n = 100"):
+        screen_many([(1.0, 2.0), (1.0,) * 100, (1j,)], jll_bound=200)
+    with pytest.raises(InputError, match="moment order K must be >= 1"):
+        screen_many([(1.0, 2.0), (1j,)], moment_k=0)
+
+
+def test_order_beyond_double_binomials_is_input_error():
+    # C(1029, 514) is a double and C(1030, 515) is not
+    assert float(math.comb(1029, 514)) < math.inf
+    with pytest.raises(OverflowError):
+        float(math.comb(1030, 515))
+    values = np.full(1030, 2.0)
+    for call in (lambda: coeffs_from_spectrum(values), lambda: normalized_coeffs(np.eye(1030)),
+                 lambda: newton_shift_condition(values), lambda: screen(values),
+                 lambda: screen_many([(1.0,), values, (1j,)])):
+        with pytest.raises(InputError, match="n = 1030"):
+            call()
+    assert coeffs_from_spectrum(np.full(1029, 2.0))[0] == 1.0
 
 
 def test_screen_error_order_is_spectrum_then_moment_k_then_jll_bound():
