@@ -1,7 +1,8 @@
 """Command-line front end for batch verification and report emission.
 
 Exit codes: 0 all requested checks pass, 1 at least one check failed
-(margins in the report), 2 input or usage error.
+(margins in the report), 2 input or usage error.  Each handler imports the
+modules it needs, so ``forms`` and ``identity`` run without numpy.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ import math
 import sys
 from pathlib import Path
 
-from . import charcoeff, forms, mclass, niep, pairsums, serialize
+from . import forms, serialize
+from .defaults import DEFAULT_JLL_BOUND, DEFAULT_MOMENT_K, GENERATOR_KINDS
 from .errors import GenerationError, InputError
 
 EXIT_OK = 0
@@ -69,13 +71,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="necessary-condition screening of candidate spectra")
     ns.add_argument("--spectrum", required=True,
                     help="spectrum JSON file, or a directory of them")
-    ns.add_argument("--jll-bound", type=int, default=niep.DEFAULT_JLL_BOUND)
-    ns.add_argument("--moment-k", type=int, default=niep.DEFAULT_MOMENT_K)
+    ns.add_argument("--jll-bound", type=int, default=DEFAULT_JLL_BOUND)
+    ns.add_argument("--moment-k", type=int, default=DEFAULT_MOMENT_K)
 
     ge = sub.add_parser("gen", parents=[common],
                         help="emit a seeded matrix of a requested class as JSON")
     ge.add_argument("--input", help="generator-spec JSON file")
-    ge.add_argument("--kind", choices=mclass.GENERATOR_KINDS)
+    ge.add_argument("--kind", choices=GENERATOR_KINDS)
     ge.add_argument("--n", type=int)
     ge.add_argument("--seed", type=int)
     ge.add_argument("--margin", type=float, default=0.1)
@@ -91,6 +93,7 @@ def _load_spectrum(path: str):
 
 
 def _cmd_classify(args):
+    from . import mclass
     a = _load_matrix(args.input)
     rep = mclass.classify(a, tol=args.tol)
     return True, {
@@ -102,6 +105,7 @@ def _cmd_classify(args):
 
 
 def _coeffs_from_args(args):
+    from . import charcoeff
     if (args.input is None) == (args.spectrum is None):
         raise InputError("provide exactly one of --input or --spectrum")
     if args.input is not None:
@@ -115,6 +119,7 @@ def _cmd_coeffs(args):
 
 
 def _cmd_newton(args):
+    from . import charcoeff
     c = _coeffs_from_args(args)
     rep = charcoeff.newton_check(c, tol=args.tol)
     return rep.holds, {
@@ -127,6 +132,7 @@ def _cmd_newton(args):
 
 
 def _cmd_sfunc(args):
+    from . import pairsums
     a = _load_matrix(args.input)
     sums = pairsums.MinorPairSums(a, override_cap=args.override_caps)
     n = sums.n
@@ -202,6 +208,7 @@ def _report_dict(rep, **tag) -> dict:
 
 
 def _cmd_niep_screen(args):
+    from . import niep
     path = Path(args.spectrum)
     files = sorted(f for f in path.iterdir() if f.suffix == ".json") if path.is_dir() else [path]
     if not files:
@@ -217,6 +224,7 @@ def _cmd_niep_screen(args):
 
 
 def _cmd_gen(args):
+    from . import mclass
     if args.input is not None:
         spec = serialize.generator_spec_from_dict(serialize.load_json(args.input))
     else:

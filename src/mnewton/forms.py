@@ -12,23 +12,23 @@ The forms are real symmetric, so real-spectrum PSD checking decides
 semidefiniteness of the associated Hermitian forms.  A form is stored as
 (n, m, kind).  Each weight is a + b d + c/(d+1) in the distance d = m - j,
 so every exact Johnson-scheme eigenvalue, of all four kinds, is one
-integer sum of O(m) terms.  Dense entries, from one capped builder, exist
-only for export, quadratic evaluation and test oracles.
+integer sum of O(m) terms.  The weights, the PSD and structure checks and
+the identity sum are Python floats, ints and Fractions, the same bits as
+float64 arrays would give, so none of them imports numpy.  Dense entries
+exist only for export, quadratic evaluation and test oracles.  They are
+laid out by one capped list of colex bitmasks; the exports read it as
+Python ints, and only the dense routes (``entries``, ``overlap_matrix``,
+``quadratic_apply``) import numpy.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import InputError
-from .linalg import (
-    _colex_masks,
-    principal_minors_all,  # noqa: F401  (bench/tests checks that the tracer patches it here)
-)
 
 FORM_KINDS = ("phi", "tilde_phi", "tilde_psi", "psi")
 FORM_DIMENSION_CAP = 5000
@@ -97,9 +97,9 @@ class FormMatrix:
         return math.comb(self.n, self.m)
 
     @property
-    def weights(self) -> np.ndarray:
+    def weights(self) -> list[float]:
         """Float weights f(0), ..., f(m); overlaps below max(0, 2m-n) never occur."""
-        return _weight(self.n, self.m, self.kind, np.arange(self.m + 1), 1.0)
+        return [_weight(self.n, self.m, self.kind, j, 1.0) for j in range(self.m + 1)]
 
     @property
     def eigenvalues(self) -> list[Fraction]:
@@ -112,26 +112,45 @@ class FormMatrix:
                 for i in range(min(self.m, self.n - self.m) + 1)]
 
     @property
-    def entries(self) -> np.ndarray:
-        """Dense C(n,m) x C(n,m) symmetric matrix, built on each access (capped)."""
-        return self.weights[_overlaps(self.n, self.m)]
+    def entries(self):
+        """Dense C(n,m) x C(n,m) symmetric ndarray, built on each access (capped)."""
+        import numpy as np
+        return np.array(self.weights)[_overlaps(self.n, self.m)]
 
 
-def overlap_matrix(n: int, m: int) -> np.ndarray:
-    """Integer matrix of pairwise subset intersection sizes, colex order."""
+def overlap_matrix(n: int, m: int):
+    """Integer ndarray of pairwise subset intersection sizes, colex order."""
     return _overlaps(n, m)
 
 
-def _overlaps(n: int, m: int) -> np.ndarray:
-    # The one dense builder (entries, exports, quadratic_apply), so the one
-    # place the cap is kept.  It calls no public function: the span tracer in
-    # bench/tracing.py reads entries from a count hook that holds the tracer's
-    # non-reentrant lock, so a traced call from there deadlocks.
+def _overlaps(n: int, m: int):
+    # Calls no public function: the span tracer in bench/tracing.py reads
+    # entries from a count hook that holds the tracer's non-reentrant lock,
+    # so a traced call from there deadlocks.
+    import numpy as np
+    masks = np.array(_dense_masks(n, m), dtype=np.uint64)
+    return np.bitwise_count(masks[:, None] & masks[None, :]).astype(np.int64)
+
+
+def _dense_masks(n: int, m: int) -> list[int]:
+    """Bitmasks of the size-m subsets of {1..n} in colex (increasing) order,
+    the basis of every dense form, so the one place the cap is kept."""
     if 0 <= m <= n and math.comb(n, m) > FORM_DIMENSION_CAP:
         raise InputError(f"dense form dimension C({n},{m}) exceeds cap "
                          f"{FORM_DIMENSION_CAP} (bitmask subsets need n <= 64)")
-    masks = _colex_masks(n, m)
-    return np.bitwise_count(masks[:, None] & masks[None, :]).astype(np.int64)
+    if n > 64:
+        raise InputError("bitmask subset encoding supports n <= 64")
+    if not 0 <= m <= n:
+        raise InputError(f"cannot choose {m} elements from {n}")
+    return sorted(sum(1 << i for i in s) for s in itertools.combinations(range(n), m))
+
+
+def __getattr__(name: str):
+    # bench/tests checks that the tracer's wrapper of this name is seen here too
+    if name == "principal_minors_all":
+        from . import linalg
+        return linalg.principal_minors_all
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _check_order(n: int, m: int) -> None:
@@ -150,8 +169,12 @@ def build_form(n: int, m: int, kind: str) -> FormMatrix:
 def psd_check(form: FormMatrix, tol: float = 1e-8) -> tuple[bool, float]:
     """(is_psd, min_eigenvalue) from the exact minimum Johnson-scheme eigenvalue, with
     threshold ``-tol * maxabs(entries)`` over the weights of the overlaps that occur."""
-    min_eig = float(min(form.eigenvalues))
-    maxabs = float(np.max(np.abs(form.weights[_lowest_overlap(form.n, form.m):])))
+    try:
+        min_eig = float(min(form.eigenvalues))
+    except OverflowError:
+        raise InputError(f"minimum eigenvalue of the {form.kind} form at (n, m) = "
+                         f"({form.n}, {form.m}) overflows a double") from None
+    maxabs = max(abs(w) for w in form.weights[_lowest_overlap(form.n, form.m):])
     return min_eig >= -tol * maxabs, min_eig
 
 
@@ -182,11 +205,11 @@ def structure_checks(n: int, m: int, tol: float = 1e-10) -> StructureReport:
     phi, tilde_phi, tilde_psi, psi = (FormMatrix(n, m, kind).weights[lo:] for kind in FORM_KINDS)
     gramian = [m * math.comb(n - 1, m - 1), math.comb(n - 2, m - 1)] + [0] * (min(m, n - m) - 1)
     gramian_exact = FormMatrix(n, m, "phi").eigenvalues == gramian
-    complement_exact = bool(np.array_equal(tilde_phi + phi, float(m + 1) * np.ones_like(phi)))
-    reciprocal_max_dev = float(np.max(np.abs(tilde_psi - 1.0 / tilde_phi)))
-    affine = (m + 1) * (n - m + 1) * tilde_psi - (n + 1) * np.ones_like(psi)
-    affine_max_dev = float(np.max(np.abs(psi - affine)))
-    psi_scale = float(np.max(np.abs(psi))) or 1.0
+    complement_exact = all(b + a == float(m + 1) for a, b in zip(phi, tilde_phi))
+    reciprocal_max_dev = max(abs(c - 1.0 / b) for b, c in zip(tilde_phi, tilde_psi))
+    affine_max_dev = max(abs(d - ((m + 1) * (n - m + 1) * c - float(n + 1)))
+                         for c, d in zip(tilde_psi, psi))
+    psi_scale = max(abs(d) for d in psi) or 1.0
     null_vector_max = float(abs(_theta(n, m, "psi", 0))) / psi_scale
 
     ok = (gramian_exact and complement_exact and reciprocal_max_dev <= tol
@@ -209,6 +232,7 @@ def quadratic_apply(form: FormMatrix, t) -> float:
     With ``t = principal_minors_all(A, m)`` and the psi kind this is the quantity
     whose nonnegativity forces the corresponding Newton margin.
     """
+    import numpy as np
     vec = np.asarray(t, dtype=float).ravel()
     if vec.size != form.dim:
         raise InputError(f"vector length {vec.size} does not match form dimension {form.dim}")

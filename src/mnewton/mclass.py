@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .defaults import GENERATOR_KINDS
 from .errors import GenerationError, InputError
 from .linalg import as_matrix, determinant, principal_minors_by_mask
 
@@ -21,7 +22,6 @@ P_TEST_MAX_N = 12
 DUAL_CHECK_MAX_N = 20
 # relative shifts probed when deciding membership in the singular-M closure
 SINGULAR_PROBE_SHIFTS = (1e-8, 1e-6, 1e-4)
-GENERATOR_KINDS = ("M", "inverse-M", "singular-M", "similarity-conjugated-M")
 POWER_ITERATION_TOL = 1e-10
 POWER_ITERATION_MAX_STEPS = 100_000
 

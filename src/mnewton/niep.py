@@ -27,15 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charcoeff import _coeffs, _newton, ensure_conjugate_closed
+from .defaults import DEFAULT_JLL_BOUND, DEFAULT_MOMENT_K
 from .errors import InputError
 from .linalg import binomials
 
 PASS = "pass"
 FAIL = "fail"
 NOT_APPLICABLE = "not-applicable"
-
-DEFAULT_MOMENT_K = 20
-DEFAULT_JLL_BOUND = 30
 
 # entries of one block's power table (B x K x n complex): 16 MiB
 _BLOCK_ENTRIES = 1 << 20

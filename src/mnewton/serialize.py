@@ -5,22 +5,24 @@ Wire formats:
   spectrum    {"values": [[re, im], ...]}                 bare reals also accepted
   generator   {"kind": str, "n": int, "seed": int, "margin": real}
   form        {"n": int, "m": int, "kind": str, "entries": [[...], ...]}
+
+The form exports read the colex bitmasks as Python ints, one bit count per
+entry, so they import no numpy.  The CSV export is the ``csv.writer``
+default dialect without the writer: cells are repr floats, which never
+need quoting, joined by commas, and every row ends in ``\r\n``.  Matrix
+and spectrum records import numpy when they are read or written.
 """
 
 from __future__ import annotations
 
-import csv
 import json
+import sys
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 from numbers import Integral, Real
 
-import numpy as np
-
 from .errors import InputError
-from .forms import FormMatrix, overlap_matrix
-from .linalg import as_matrix
-from .mclass import GeneratorSpec
+from .forms import FormMatrix, _dense_masks
 
 
 def load_json(path):
@@ -53,7 +55,8 @@ def _as_real(value, name: str) -> float:
     return float(value)
 
 
-def matrix_from_dict(d) -> np.ndarray:
+def matrix_from_dict(d):
+    from .linalg import as_matrix
     n = _as_int(_require(d, "n"), "n")
     rows = _require(d, "rows")
     if n < 1:
@@ -70,11 +73,13 @@ def matrix_from_dict(d) -> np.ndarray:
 
 
 def matrix_to_dict(a) -> dict:
+    from .linalg import as_matrix
     m = as_matrix(a)
     return {"n": int(m.shape[0]), "rows": [[float(x) for x in row] for row in m]}
 
 
-def spectrum_from_dict(d) -> np.ndarray:
+def spectrum_from_dict(d):
+    import numpy as np
     values = _require(d, "values")
     if not isinstance(values, list) or not values:
         raise InputError("field 'values' must be a nonempty list")
@@ -91,11 +96,13 @@ def spectrum_from_dict(d) -> np.ndarray:
 
 
 def spectrum_to_dict(values) -> dict:
+    import numpy as np
     vals = np.asarray(values, dtype=complex).ravel()
     return {"values": [[float(v.real), float(v.imag)] for v in vals]}
 
 
-def generator_spec_from_dict(d) -> GeneratorSpec:
+def generator_spec_from_dict(d):
+    from .mclass import GeneratorSpec
     kind = _require(d, "kind")
     if not isinstance(kind, str):
         raise InputError("field 'kind' must be a string")
@@ -107,27 +114,29 @@ def generator_spec_from_dict(d) -> GeneratorSpec:
 
 def _by_overlap(form: FormMatrix, cells: list) -> list:
     """Rows of the dense form with entry (a, b) = cells[|alpha_a & alpha_b|]."""
-    return np.array(cells, dtype=object)[overlap_matrix(form.n, form.m)].tolist()
+    masks = _dense_masks(form.n, form.m)
+    return [[cells[(a & b).bit_count()] for b in masks] for a in masks]
 
 
 def form_to_dict(form: FormMatrix) -> dict:
     return {"n": form.n, "m": form.m, "kind": form.kind,
-            "entries": _by_overlap(form, [float(w) for w in form.weights])}
+            "entries": _by_overlap(form, form.weights)}
 
 
 def form_to_csv(form: FormMatrix, path) -> None:
-    rows = _by_overlap(form, [repr(float(w)) for w in form.weights])
+    rows = _by_overlap(form, [repr(w) for w in form.weights])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(rows)
+        fh.writelines(",".join(row) + "\r\n" for row in rows)
 
 
 def _encode(obj):
     """``json.dumps`` hook for the report values that are not plain JSON."""
     if is_dataclass(obj) and not isinstance(obj, type):
         return asdict(obj)
-    if isinstance(obj, np.ndarray):
+    np = sys.modules.get("numpy")     # without numpy loaded no array can exist
+    if np is not None and isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, np.generic):
+    if np is not None and isinstance(obj, np.generic):
         return obj.item()
     if isinstance(obj, Fraction):
         return str(obj)

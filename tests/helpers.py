@@ -2,7 +2,8 @@
 batched and exact minors as oracles of the Schur-complement tree,
 brute-force minor sums, polynomial roots by a companion matrix, the
 numpy-scalar coefficient recurrence, a bitwise array comparison, subset
-incidence vectors, and form eigenvalues through Eberlein polynomials."""
+incidence vectors, form eigenvalues through Eberlein polynomials, and the
+float64-array form weights."""
 
 from __future__ import annotations
 
@@ -174,3 +175,9 @@ def eberlein_theta(n: int, m: int, kind: str, i: int) -> Fraction:
     an (m+1)-term sum of Eberlein values over the overlaps that occur."""
     return sum((_weight(n, m, kind, j, Fraction(1)) * eberlein(n, m, m - j, i)
                 for j in range(_lowest_overlap(n, m), m + 1)), Fraction(0))
+
+
+def weights_numpy(n: int, m: int, kind: str) -> np.ndarray:
+    """Form weights f(0..m) as one float64 array expression (the route the
+    Python-float ``FormMatrix.weights`` replaced)."""
+    return _weight(n, m, kind, np.arange(m + 1), 1.0)

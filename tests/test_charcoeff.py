@@ -70,6 +70,18 @@ def test_ensure_conjugate_closed_accepts_noisy_pairs():
     assert vals.size == 3
 
 
+def test_ensure_conjugate_closed_pairs_inexact_partners():
+    # partners within CLOSURE_RTOL but not exact conjugates go through the
+    # nearest-partner search, next to an exact pair
+    vals = [2.0 + 1j, 0.5, 1.0 + 1e-12 - 3j, 2.0 - 1j, 1.0 + 3j, 1.0 + 3.001j, 1.0 - 3.001j]
+    out = ensure_conjugate_closed(vals)
+    assert out.dtype == complex and np.array_equal(out, vals)
+    with pytest.raises(InputError, match=r"no partner for \(1\+3j\)"):
+        ensure_conjugate_closed([1.0 + 3j, 1.0 - 3j + 1e-6j, 0.5])
+    with pytest.raises(InputError, match="no partner"):
+        ensure_conjugate_closed([2.0 + 1j, 2.0 - 1j, 2.0 + 1j])
+
+
 def test_newton_check_examples():
     rep = newton_check(coeffs_from_spectrum([0.0, 2.0, 2.0]))
     assert rep.holds

@@ -126,6 +126,12 @@ def test_forms_over_dense_cap_reports_but_exports_nothing(capsys, tmp_path):
         assert not target.exists()
 
 
+def test_forms_overflowing_eigenvalue_exits_two(capsys):
+    code, out, err = run(capsys, ["forms", "--n", "1040", "--m", "520", "--kind", "tilde_phi"])
+    assert code == EXIT_USAGE and out == ""
+    assert "(n, m) = (1040, 520)" in err and "tilde_phi" in err and "overflows" in err
+
+
 def test_override_caps_only_on_sfunc(capsys, m_matrix_file):
     code, out, _ = run(capsys, ["sfunc", "--input", m_matrix_file, "--override-caps"])
     assert code == EXIT_OK and json.loads(out)["holds"] is True

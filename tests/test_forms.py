@@ -12,6 +12,7 @@ from mnewton.forms import (
     FORM_KINDS,
     FormMatrix,
     _affine_reciprocal,
+    _dense_masks,
     _theta,
     _weight,
     binomial_identity_sum,
@@ -21,12 +22,12 @@ from mnewton.forms import (
     quadratic_apply,
     structure_checks,
 )
-from mnewton.linalg import principal_minors_all
+from mnewton.linalg import principal_minors_all, subset_masks
 from mnewton.mclass import GeneratorSpec, generate
 from mnewton.pairsums import MinorPairSums
 from mnewton.serialize import form_to_csv, form_to_dict
 
-from helpers import eberlein_theta, incidence_matrix
+from helpers import eberlein_theta, incidence_matrix, weights_numpy
 
 
 def test_build_form_psi_2_1():
@@ -79,6 +80,32 @@ def test_dense_builder_caps_every_dense_route(tmp_path):
     assert not (tmp_path / "f.csv").exists()
     with pytest.raises(InputError, match="exceeds cap"):
         FormMatrix(30, 15, "psi").entries
+
+
+def test_dense_masks_are_the_colex_subset_masks():
+    for n, m in [(n, m) for n in range(13) for m in range(n + 1)] + [(40, 2), (64, 1), (64, 2)]:
+        assert _dense_masks(n, m) == subset_masks(n, m).tolist(), (n, m)
+    with pytest.raises(InputError, match="n <= 64"):
+        _dense_masks(65, 1)
+    with pytest.raises(InputError, match="cannot choose"):
+        _dense_masks(3, 4)
+
+
+def test_weights_bit_identical_to_float64_array_route():
+    for n in range(2, 65):
+        for m in range(1, n):
+            for kind in FORM_KINDS:
+                got = build_form(n, m, kind).weights
+                assert all(type(w) is float for w in got)
+                want = weights_numpy(n, m, kind)
+                assert list(map(repr, got)) == [repr(float(w)) for w in want], (n, m, kind)
+
+
+def test_psd_check_overflowing_minimum_eigenvalue_is_an_input_error():
+    # theta_min of tilde_phi at (1040, 520) is beyond a double; psi's is 0
+    with pytest.raises(InputError, match=r"tilde_phi form at \(n, m\) = \(1040, 520\)"):
+        psd_check(build_form(1040, 520, "tilde_phi"))
+    assert psd_check(build_form(1040, 520, "psi")) == (True, 0.0)
 
 
 def test_psd_check_psi_2_1():
