@@ -20,11 +20,7 @@ def ensure_conjugate_closed(values) -> np.ndarray:
 
     Non-real values are paired greedily, each with the nearest remaining
     candidate for its conjugate; every non-real value must find a partner
-    within ``CLOSURE_RTOL * scale``.  Exactly closed non-real values (the
-    (re, im) pairs of the values and of their conjugates sort to equal
-    lists) skip the search, which would find every partner at distance 0;
-    sorting a few Python tuples is cheaper than numpy's sort at spectrum
-    sizes.
+    within ``CLOSURE_RTOL * scale``.
     """
     try:
         vals = np.asarray(values, dtype=complex).ravel()
@@ -35,11 +31,7 @@ def ensure_conjugate_closed(values) -> np.ndarray:
     if not np.all(np.isfinite(vals)):
         raise InputError("spectrum values must be finite")
     tol = CLOSURE_RTOL * max(1.0, float(np.max(np.abs(vals))))
-    nonreal = np.abs(vals.imag) > tol
-    parts = list(zip(vals.real[nonreal].tolist(), vals.imag[nonreal].tolist()))
-    if sorted(parts) == sorted((re, -im) for re, im in parts):
-        return vals
-    nonreal = np.flatnonzero(nonreal).tolist()
+    nonreal = np.flatnonzero(np.abs(vals.imag) > tol).tolist()
     unmatched = set(nonreal)
     for i in nonreal:
         if i not in unmatched:

@@ -138,10 +138,12 @@ def _dense_masks(n: int, m: int) -> list[int]:
     if 0 <= m <= n and math.comb(n, m) > FORM_DIMENSION_CAP:
         raise InputError(f"dense form dimension C({n},{m}) exceeds cap "
                          f"{FORM_DIMENSION_CAP} (bitmask subsets need n <= 64)")
+    if n < 0 or m < 0:
+        raise InputError("subset parameters must be nonnegative")
+    if m > n:
+        raise InputError(f"cannot choose {m} elements from {n}")
     if n > 64:
         raise InputError("bitmask subset encoding supports n <= 64")
-    if not 0 <= m <= n:
-        raise InputError(f"cannot choose {m} elements from {n}")
     return sorted(sum(1 << i for i in s) for s in itertools.combinations(range(n), m))
 
 

@@ -83,8 +83,10 @@ def subset_masks(n: int, m: int) -> np.ndarray:
 
 
 def _colex_masks(n: int, m: int) -> np.ndarray:
-    """Kernel of :func:`subset_masks`, kept private for ``FormMatrix.entries``
-    and :func:`enumerate_subsets`: the last level of :func:`_colex_levels`.
+    """Kernel of :func:`subset_masks`, the last level of :func:`_colex_levels`.
+
+    It serves :func:`enumerate_subsets` only, kept apart from the public
+    function so that the traced ``subset_masks`` counts stay as they are.
     """
     if n < 0 or m < 0:
         raise InputError("subset parameters must be nonnegative")

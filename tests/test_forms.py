@@ -89,6 +89,12 @@ def test_dense_masks_are_the_colex_subset_masks():
         _dense_masks(65, 1)
     with pytest.raises(InputError, match="cannot choose"):
         _dense_masks(3, 4)
+    with pytest.raises(InputError, match="cannot choose"):
+        _dense_masks(70, 71)
+    with pytest.raises(InputError, match="nonnegative"):
+        _dense_masks(3, -1)
+    with pytest.raises(InputError, match="nonnegative"):
+        _dense_masks(-1, 0)
 
 
 def test_weights_bit_identical_to_float64_array_route():
