@@ -20,7 +20,8 @@ def ensure_conjugate_closed(values) -> np.ndarray:
 
     Non-real values are paired greedily, each with the nearest remaining
     candidate for its conjugate; every non-real value must find a partner
-    within ``CLOSURE_RTOL * scale``.
+    within ``CLOSURE_RTOL * scale``.  The pairing runs on Python complex
+    numbers, whose subtraction and modulus are numpy's bit for bit.
     """
     try:
         vals = np.asarray(values, dtype=complex).ravel()
@@ -28,20 +29,29 @@ def ensure_conjugate_closed(values) -> np.ndarray:
         raise InputError(f"spectrum values must be numbers: {exc}") from None
     if vals.size == 0:
         raise InputError("spectrum must be nonempty")
-    if not np.all(np.isfinite(vals)):
+    scale = float(np.abs(vals).max())
+    # |value| is NaN or inf for every non-finite value, and inf for finite
+    # values whose modulus overflows
+    if not scale < np.inf and not np.all(np.isfinite(vals)):
         raise InputError("spectrum values must be finite")
-    tol = CLOSURE_RTOL * max(1.0, float(np.max(np.abs(vals))))
+    tol = CLOSURE_RTOL * max(1.0, scale)
     nonreal = np.flatnonzero(np.abs(vals.imag) > tol).tolist()
+    if not nonreal:
+        return vals
+    py = vals.tolist()
     unmatched = set(nonreal)
     for i in nonreal:
         if i not in unmatched:
             continue
         unmatched.discard(i)
-        target = vals[i].conjugate()
+        target = py[i].conjugate()
         best = None
         best_d = np.inf
         for j in unmatched:
-            d = abs(vals[j] - target)
+            try:
+                d = abs(py[j] - target)
+            except OverflowError:   # numpy's modulus is inf there, which never wins
+                continue
             if d < best_d:
                 best, best_d = j, d
         if best is None or best_d > tol:

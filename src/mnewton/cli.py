@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -210,15 +211,19 @@ def _report_dict(rep, **tag) -> dict:
 def _cmd_niep_screen(args):
     from . import niep
     path = Path(args.spectrum)
-    files = sorted(f for f in path.iterdir() if f.suffix == ".json") if path.is_dir() else [path]
-    if not files:
+    if not path.is_dir():
+        rep, = niep.screen_many([_load_spectrum(str(path))], moment_k=args.moment_k,
+                                jll_bound=args.jll_bound, tol=args.tol)
+        return rep.all_pass, _report_dict(rep, command="niep-screen")
+    # the names whose Path.suffix is ".json"
+    names = sorted(e.name for e in os.scandir(path)
+                   if e.name.endswith(".json") and len(e.name) > 5)
+    if not names:
         raise InputError(f"no .json spectra found in {path}")
     # files load lazily, so the first bad file in sorted order is the one reported
-    reps = niep.screen_many((_load_spectrum(str(f)) for f in files), moment_k=args.moment_k,
-                            jll_bound=args.jll_bound, tol=args.tol)
-    if not path.is_dir():
-        return reps[0].all_pass, _report_dict(reps[0], command="niep-screen")
-    reports = [_report_dict(r, file=f.name) for r, f in zip(reps, files)]
+    reps = niep.screen_many((_load_spectrum(str(path / name)) for name in names),
+                            moment_k=args.moment_k, jll_bound=args.jll_bound, tol=args.tol)
+    reports = [_report_dict(r, file=name) for r, name in zip(reps, names)]
     ok = all(r.all_pass for r in reps)
     return ok, {"command": "niep-screen", "reports": reports, "all_pass": ok}
 

@@ -11,6 +11,13 @@ entry, so they import no numpy.  The CSV export is the ``csv.writer``
 default dialect without the writer: cells are repr floats, which never
 need quoting, joined by commas, and every row ends in ``\r\n``.  Matrix
 and spectrum records import numpy when they are read or written.
+
+``dumps_report`` writes the layout of ``json.dumps(report, indent=2,
+sort_keys=True, default=_encode)`` itself, in one recursive function that
+appends to one list: with ``indent`` set, CPython's json drops its C
+encoder for the pure-Python generator one, which cost more than all the
+condition kernels of a 3000-spectrum ``niep-screen``.  The tests keep
+``json.dumps`` as the oracle.
 """
 
 from __future__ import annotations
@@ -23,6 +30,10 @@ from numbers import Integral, Real
 
 from .errors import InputError
 from .forms import FormMatrix, _dense_masks
+
+_INF = float("inf")
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+_quote = json.encoder.encode_basestring_ascii
 
 
 def load_json(path):
@@ -49,9 +60,12 @@ def _as_int(value, name: str) -> int:
     return int(value)
 
 
-def _as_real(value, name: str) -> float:
+def _as_real(value, name: str, *index) -> float:
+    """``value`` as a float; the field ``name.format(*index)`` is named only on error."""
+    if type(value) is float:
+        return value
     if isinstance(value, bool) or not isinstance(value, Real):
-        raise InputError(f"field {name!r} must be a real number")
+        raise InputError(f"field {name.format(*index)!r} must be a real number")
     return float(value)
 
 
@@ -88,10 +102,10 @@ def spectrum_from_dict(d):
         if isinstance(v, list):
             if len(v) != 2:
                 raise InputError(f"field 'values'[{i}] must be [re, im]")
-            out.append(complex(_as_real(v[0], f"values[{i}][0]"),
-                               _as_real(v[1], f"values[{i}][1]")))
+            out.append(complex(_as_real(v[0], "values[{}][0]", i),
+                               _as_real(v[1], "values[{}][1]", i)))
         else:
-            out.append(complex(_as_real(v, f"values[{i}]"), 0.0))
+            out.append(complex(_as_real(v, "values[{}]", i), 0.0))
     return np.array(out, dtype=complex)
 
 
@@ -130,7 +144,7 @@ def form_to_csv(form: FormMatrix, path) -> None:
 
 
 def _encode(obj):
-    """``json.dumps`` hook for the report values that are not plain JSON."""
+    """Plain JSON value for a report value that is not one (the hook of both writers)."""
     if is_dataclass(obj) and not isinstance(obj, type):
         return asdict(obj)
     np = sys.modules.get("numpy")     # without numpy loaded no array can exist
@@ -150,6 +164,67 @@ def jsonable(obj):
     return json.loads(json.dumps(obj, default=_encode))
 
 
+def _float(x: float) -> str:
+    """A float as json spells it."""
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key(k) -> str:
+    """A dict key as json quotes it."""
+    if isinstance(k, str):
+        text = k
+    elif isinstance(k, float):
+        text = _float(k)
+    elif k is True or k is False or k is None:
+        text = _CONSTANTS[k]
+    elif isinstance(k, int):
+        text = int.__repr__(k)
+    else:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+    return _quote(text)
+
+
+def _write(o, out: list, pad: str) -> None:
+    """Append the ``dumps_report`` text of ``o``, at indent ``pad``, to ``out``,
+    testing types in json's order."""
+    if isinstance(o, str):
+        out.append(_quote(o))
+    elif o is None or o is True or o is False:
+        out.append(_CONSTANTS[o])
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_float(o))
+    elif not isinstance(o, (list, tuple, dict)):
+        _write(_encode(o), out, pad)
+    elif not o:
+        out.append("{}" if isinstance(o, dict) else "[]")
+    elif isinstance(o, dict):
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for k, v in sorted(o.items()):
+            out.append(sep + (_quote(k) if type(k) is str else _key(k)) + ": ")
+            _write(v, out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    else:
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for v in o:
+            out.append(sep)
+            _write(v, out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]")
+
+
 def dumps_report(report: dict) -> str:
     """Deterministic JSON: sorted keys, fixed layout, repr-exact floats."""
-    return json.dumps(report, default=_encode, indent=2, sort_keys=True)
+    out: list[str] = []
+    _write(report, out, "")
+    return "".join(out)

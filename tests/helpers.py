@@ -1,9 +1,9 @@
 """Helpers that only the tests use: scalar minors on 1-based index sets,
 batched and exact minors as oracles of the Schur-complement tree,
 brute-force minor sums, polynomial roots by a companion matrix, the
-numpy-scalar coefficient recurrence, a bitwise array comparison, subset
-incidence vectors, form eigenvalues through Eberlein polynomials, and the
-float64-array form weights."""
+numpy-scalar coefficient recurrence and conjugate pairing, a bitwise array
+comparison, subset incidence vectors, form eigenvalues through Eberlein
+polynomials, and the float64-array form weights."""
 
 from __future__ import annotations
 
@@ -146,6 +146,38 @@ def coeffs_numpy_scalar(values) -> np.ndarray:
         raise InputError(
             f"symmetric functions retain imaginary residue {resid:g} beyond tolerance")
     return e.real / binomials(n)
+
+
+def conjugate_closed_numpy(values) -> np.ndarray:
+    """Conjugate-closure check with the greedy pairing on numpy scalars, the
+    reference that ``ensure_conjugate_closed`` must match, errors included."""
+    try:
+        vals = np.asarray(values, dtype=complex).ravel()
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"spectrum values must be numbers: {exc}") from None
+    if vals.size == 0:
+        raise InputError("spectrum must be nonempty")
+    if not np.all(np.isfinite(vals)):
+        raise InputError("spectrum values must be finite")
+    tol = CLOSURE_RTOL * max(1.0, float(np.max(np.abs(vals))))
+    nonreal = np.flatnonzero(np.abs(vals.imag) > tol).tolist()
+    unmatched = set(nonreal)
+    for i in nonreal:
+        if i not in unmatched:
+            continue
+        unmatched.discard(i)
+        target = vals[i].conjugate()
+        best = None
+        best_d = np.inf
+        for j in unmatched:
+            d = abs(vals[j] - target)
+            if d < best_d:
+                best, best_d = j, d
+        if best is None or best_d > tol:
+            raise InputError(
+                f"spectrum is not closed under conjugation: no partner for {vals[i]}")
+        unmatched.discard(best)
+    return vals
 
 
 def same_bits(a, b) -> bool:

@@ -16,7 +16,12 @@ from mnewton.errors import InputError
 from mnewton.mclass import GENERATOR_KINDS, GeneratorSpec, generate, well_conditioned_transform
 from mnewton.niep import moments
 
-from helpers import coeffs_numpy_scalar, minor_sums_exhaustive, same_bits
+from helpers import (
+    coeffs_numpy_scalar,
+    conjugate_closed_numpy,
+    minor_sums_exhaustive,
+    same_bits,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -80,6 +85,62 @@ def test_ensure_conjugate_closed_pairs_inexact_partners():
         ensure_conjugate_closed([1.0 + 3j, 1.0 - 3j + 1e-6j, 0.5])
     with pytest.raises(InputError, match="no partner"):
         ensure_conjugate_closed([2.0 + 1j, 2.0 - 1j, 2.0 + 1j])
+
+
+@pytest.mark.parametrize("values", [
+    [np.nan], [np.inf], [-np.inf], [complex(np.inf, np.nan)], [complex(1.0, np.nan)],
+    [2.0, 1.0 + 1j, complex(np.nan, 0.0)], [1.0 + 3j, complex(1.0, -np.inf)],
+])
+def test_ensure_conjugate_closed_rejects_non_finite_before_pairing(values):
+    with pytest.raises(InputError) as exc:
+        ensure_conjugate_closed(values)
+    assert str(exc.value) == "spectrum values must be finite"
+
+
+def same_closure(values):
+    """``ensure_conjugate_closed`` returns what the numpy-scalar pairing does,
+    bit for bit, or raises the same message."""
+    try:
+        want = conjugate_closed_numpy(values)
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            ensure_conjugate_closed(values)
+        return str(got.value) == str(exc)
+    got = ensure_conjugate_closed(values)
+    return got.dtype == want.dtype and same_bits(got.view(float), want.view(float))
+
+
+def test_ensure_conjugate_closed_matches_numpy_pairing():
+    big = 0.75e308
+    cases = [
+        [3.0, -1.0, 0.5, 0.0],                                  # all real
+        [2.0, -0.5 + 0.5j, -0.5 - 0.5j, 1j, -1j],               # exactly closed
+        [2.0 + 1j, 0.5, 1.0 + 1e-12 - 3j, 2.0 - 1j, 1.0 + 3j],  # inexact partner
+        [1.0 + 3j, 1.0 - 3j + 1e-6j, 0.5],                      # partner too far
+        [1j, 1j, -1j],
+        [1.0 + 1e-10j, 1.0],                                    # imaginary part below tol
+        [1.5e308 + 1.5e308j, 1.5e308 - 1.5e308j, 1j],           # |value| overflows: tol inf
+        # a candidate whose distance overflows a double is passed over
+        [big + big * 1j, -big + big * 1j, big - big * 1j, -big - big * 1j],
+        [big + big * 1j, -big + big * 1j, -big - big * 1j],
+    ]
+    for values in cases:
+        assert same_closure(values), values
+    with pytest.raises(InputError) as exc:
+        ensure_conjugate_closed([1.0 + 3j, 1.0 - 3j + 1e-6j, 0.5])
+    assert str(exc.value) == ("spectrum is not closed under conjugation: "
+                              "no partner for (1+3j)")
+
+
+PARTS = st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0, 1e-12, -1e-12, 3.001, 1e-9])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(PARTS, PARTS), min_size=1, max_size=9))
+def test_ensure_conjugate_closed_matches_numpy_pairing_on_random_spectra(pairs):
+    values = [complex(re, im) for re, im in pairs]
+    assert same_closure(values)
+    assert same_closure(values + [v.conjugate() for v in values])
 
 
 def test_newton_check_examples():

@@ -176,6 +176,9 @@ def test_niep_screen_report_is_the_screening_report(capsys, tmp_path):
     assert code == (EXIT_OK if rep.all_pass else EXIT_VIOLATION)
 
 
+MALFORMED = "{not json"
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_niep_screen_directory_batch(capsys, tmp_path):
     batch = tmp_path / "batch"
@@ -189,21 +192,27 @@ def test_niep_screen_directory_batch(capsys, tmp_path):
     write_json(batch / "f_pass.json", {"values": [4.0, -1.0, -1.0, -1.0, -1.0]})
     write_json(batch / "g_big.json", {"values": [1e200, 1.0, 1.0]})
     write_json(batch / "notes.txt", {"values": [[0.0, 1.0]]})
+    # only names whose Path.suffix is ".json": ".json" has none, "..json" has it
+    (batch / ".json").write_text(MALFORMED)
+    write_json(batch / "..json", {"values": [2.0, -1.0]})
+    write_json(batch / "Z_upper.json", {"values": [1.0]})
     code, out, _ = run(capsys, ["niep-screen", "--spectrum", str(batch)])
     assert code == EXIT_VIOLATION
     rep = json.loads(out)
     names = [r["file"] for r in rep["reports"]]
-    assert names == ["a_fail.json", "b_pass.json", "c_complex.json", "d_one.json",
-                     "e_ten.json", "f_pass.json", "g_big.json"]
+    assert names == ["..json", "Z_upper.json", "a_fail.json", "b_pass.json",
+                     "c_complex.json", "d_one.json", "e_ten.json", "f_pass.json", "g_big.json"]
+    assert names == sorted(p.name for p in batch.iterdir() if p.suffix == ".json")
     assert rep["all_pass"] is False
     for entry, name in zip(rep["reports"], names):
         _, single_out, _ = run(capsys, ["niep-screen", "--spectrum", str(batch / name)])
         single = json.loads(single_out)
         assert single.pop("command") == "niep-screen"
         assert entry == {**single, "file": name}
-
-
-MALFORMED = "{not json"
+    (batch / "x.json").mkdir()
+    code, out, err = run(capsys, ["niep-screen", "--spectrum", str(batch)])
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith(f"error: cannot read {batch / 'x.json'}: ")
 
 
 @pytest.mark.parametrize("first, second, args, message", [

@@ -1,12 +1,19 @@
 import csv
+import enum
 import json
+import math
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mnewton.errors import InputError
 from mnewton.forms import FORM_KINDS, build_form
 from mnewton.serialize import (
+    _encode,
     dumps_report,
     form_to_csv,
     form_to_dict,
@@ -49,10 +56,27 @@ def test_spectrum_roundtrip_and_bare_reals():
 def test_spectrum_from_dict_diagnostics():
     with pytest.raises(InputError, match="'values'"):
         spectrum_from_dict({})
-    with pytest.raises(InputError, match=r"'values'\[0\]"):
-        spectrum_from_dict({"values": [[1.0, 2.0, 3.0]]})
-    with pytest.raises(InputError, match=r"values\[1\]"):
-        spectrum_from_dict({"values": [1.0, "x"]})
+    cases = [
+        ([[1.0, 2.0, 3.0]], "field 'values'[0] must be [re, im]"),
+        ([1.0, [2.0]], "field 'values'[1] must be [re, im]"),
+        ([1.0, "x"], "field 'values[1]' must be a real number"),
+        ([1.0, True], "field 'values[1]' must be a real number"),
+        ([1.0, None], "field 'values[1]' must be a real number"),
+        ([[True, 0.0]], "field 'values[0][0]' must be a real number"),
+        ([2.0, [0.5, "x"]], "field 'values[1][1]' must be a real number"),
+        ([[1.0, 0.0], [0.0, [1.0]]], "field 'values[1][1]' must be a real number"),
+    ]
+    for values, message in cases:
+        with pytest.raises(InputError) as exc:
+            spectrum_from_dict({"values": values})
+        assert str(exc.value) == message, values
+
+
+def test_spectrum_from_dict_accepts_ints_as_floats():
+    vals = spectrum_from_dict({"values": [3, [1, -2], [1.5, 2], -0.0]})
+    assert vals.dtype == complex
+    assert vals.tolist() == [3 + 0j, 1 - 2j, 1.5 + 2j, complex(-0.0, 0.0)]
+    assert math.copysign(1.0, vals[3].real) == -1.0
 
 
 def test_generator_spec_from_dict():
@@ -62,6 +86,11 @@ def test_generator_spec_from_dict():
         generator_spec_from_dict({"kind": "M", "n": 4})
     with pytest.raises(InputError):
         generator_spec_from_dict({"kind": "Q", "n": 4, "seed": 0})
+    assert generator_spec_from_dict({"kind": "M", "n": 4, "seed": 7, "margin": 1}).margin == 1.0
+    for margin in ("big", False, None, [0.1]):
+        with pytest.raises(InputError) as exc:
+            generator_spec_from_dict({"kind": "M", "n": 4, "seed": 7, "margin": margin})
+        assert str(exc.value) == "field 'margin' must be a real number", margin
 
 
 def test_form_exports(tmp_path):
@@ -105,7 +134,6 @@ def test_load_json_malformed(tmp_path):
 
 
 def test_jsonable_handles_numpy_and_fractions():
-    from fractions import Fraction
     obj = {"a": np.float64(1.5), "b": np.int32(2), "c": np.bool_(True),
            "d": np.arange(3), "e": Fraction(1, 3), "f": (1, 2), "g": 1 + 2j}
     out = jsonable(obj)
@@ -118,3 +146,82 @@ def test_dumps_report_deterministic():
     rep = {"z": [1.0, 2.0], "a": {"y": np.float64(0.1), "x": True}}
     assert dumps_report(rep) == dumps_report(rep)
     assert dumps_report(rep).startswith("{")
+
+
+def dumps_oracle(obj) -> str:
+    return json.dumps(obj, default=_encode, indent=2, sort_keys=True)
+
+
+@dataclass(frozen=True)
+class Point:
+    x: float
+    tags: tuple
+
+
+class Level(enum.IntEnum):
+    HIGH = 2
+
+
+class Tag(str, enum.Enum):
+    RED = "red"
+
+
+class Shouting(float):
+    def __repr__(self):
+        return "LOUD"
+
+
+FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2e-308, 1e308, -1.7976931348623157e308]))
+INTS = st.one_of(st.integers(), st.integers(-2**512, 2**512))
+STRINGS = st.one_of(st.text(), st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u00e9\u2603\U0001f600", ""]))
+OPAQUE = st.one_of(
+    FLOATS.map(np.float64), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_), st.floats(width=32).map(np.float32),
+    st.lists(FLOATS, max_size=4).map(np.array),
+    st.lists(st.integers(-2**63, 2**63 - 1), max_size=4).map(np.array),
+    st.fractions(), st.complex_numbers(), st.builds(Point, FLOATS, st.tuples(INTS, STRINGS)),
+)
+LEAVES = st.one_of(STRINGS, FLOATS, INTS, st.booleans(), st.none(), OPAQUE)
+
+
+def _dicts(children):
+    # json sorts the items, so the keys of one dict must be comparable
+    return st.one_of(*(st.dictionaries(keys, children, max_size=4) for keys in (
+        STRINGS, INTS, FLOATS, st.booleans(), st.none(), st.one_of(INTS, FLOATS, st.booleans()))))
+
+
+REPORTS = st.recursive(LEAVES, lambda children: st.one_of(
+    st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple), _dicts(children)),
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(REPORTS)
+def test_dumps_report_matches_json_dumps(report):
+    assert dumps_report(report) == dumps_oracle(report)
+
+
+def test_dumps_report_matches_json_dumps_on_edge_values():
+    reports = [
+        {}, [], (), {"a": {}, "b": [], "c": ()}, [[[]], {}],
+        {1: "int", 2.5: "float", False: "bool"}, {None: 0}, {math.nan: 1, math.inf: 2},
+        {"\u00e9": "\u2603", '"q"': "\x01\n\t"}, 10 ** 300, -(2 ** 1000), True, None,
+        {"arr": np.arange(6.0).reshape(2, 3), "scalar": np.float64(0.1), "i": np.int32(-3),
+         "b": np.bool_(False), "frac": Fraction(-7, 3), "z": complex(1.5, -math.inf),
+         "pt": Point(-0.0, (1, "x")), "pts": [Point(math.nan, ())]},
+        {Level.HIGH: [Level.HIGH, Tag.RED, Shouting(0.5)], Shouting(2.5): 0, 3: 1},
+        {Tag.RED: Tag.RED, "blue": 0},
+    ]
+    for report in reports:
+        assert dumps_report(report) == dumps_oracle(report), report
+
+
+def test_dumps_report_raises_where_json_dumps_does():
+    for bad in ({"a": 1, 2: 3}, {None: 1, "b": 2}, {(1, 2): 0}, {"a": [object()]},
+                {"a": {1j: 0}}):
+        with pytest.raises(TypeError) as want:
+            dumps_oracle(bad)
+        with pytest.raises(TypeError) as got:
+            dumps_report(bad)
+        assert str(got.value) == str(want.value), bad
