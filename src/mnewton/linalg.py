@@ -2,12 +2,12 @@
 
 Every function here is pure and deterministic: identical inputs give
 bit-identical outputs.  Subset-indexed vectors and matrices always use
-colexicographic order, which is increasing-bitmask order: every subset
-table (:func:`subset_masks`, :func:`enumerate_subsets`) is read off the
-one bitmask kernel, and the principal minors come off one
-Schur-complement tree whose stack index is the bitmask, which fixes the
-basis and summation order of every subset-indexed reduction in the
-package.
+colexicographic order, which is increasing-bitmask order: the subset
+masks (:func:`subset_masks`, which :func:`enumerate_subsets` decodes) and
+the branches of the one Schur-complement tree that gives the principal
+minors follow the same Pascal recursion, and the tree's stack index is the
+bitmask.  This fixes the basis and summation order of every
+subset-indexed reduction in the package.
 """
 
 from __future__ import annotations
@@ -44,19 +44,18 @@ def determinant(a) -> float:
     """Determinant by row-pivoted triangular elimination.
 
     1x1 input is returned exactly.  A pivot with
-    ``|pivot| <= 1e-13 * maxabs(pivot row)`` is treated as zero and the
-    determinant is reported as exactly ``0.0``, so nearly singular input
-    degrades to the singular answer instead of round-off noise.
+    ``|pivot| <= 1e-13 * maxabs(pivot row)`` (a zero column included) is
+    treated as zero and the determinant is reported as exactly ``0.0``, so
+    nearly singular input degrades to the singular answer instead of
+    round-off noise.
     """
     u = as_matrix(a).copy()
     n = u.shape[0]
-    if n == 1:
-        return float(u[0, 0])
     det = 1.0
     for k in range(n - 1):
         r = k + int(np.argmax(np.abs(u[k:, k])))
         row_scale = float(np.max(np.abs(u[r, k:])))
-        if row_scale == 0.0 or abs(u[r, k]) <= PIVOT_RTOL * row_scale:
+        if abs(u[r, k]) <= PIVOT_RTOL * row_scale:
             return 0.0
         if r != k:
             u[[k, r], k:] = u[[r, k], k:]
@@ -74,20 +73,12 @@ def enumerate_subsets(n: int, m: int) -> list[tuple[int, ...]]:
     is the canonical basis order for every subset-indexed vector and
     matrix in the package.
     """
-    return [tuple(s) for s in (_mask_elements(_colex_masks(n, m), n) + 1).tolist()]
+    return [tuple(s) for s in (_mask_elements(subset_masks(n, m), n) + 1).tolist()]
 
 
 def subset_masks(n: int, m: int) -> np.ndarray:
-    """Bitmask encodings (bit i-1 for element i) of enumerate_subsets(n, m)."""
-    return _colex_masks(n, m)
-
-
-def _colex_masks(n: int, m: int) -> np.ndarray:
-    """Kernel of :func:`subset_masks`, the last level of :func:`_colex_levels`.
-
-    It serves :func:`enumerate_subsets` only, kept apart from the public
-    function so that the traced ``subset_masks`` counts stay as they are.
-    """
+    """Bitmask encodings (bit i-1 for element i) of enumerate_subsets(n, m),
+    ascending: the last level of :func:`_colex_levels`."""
     if n < 0 or m < 0:
         raise InputError("subset parameters must be nonnegative")
     if m > n:

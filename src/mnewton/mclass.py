@@ -20,8 +20,8 @@ from .linalg import as_matrix, determinant, principal_minors_by_mask
 
 P_TEST_MAX_N = 12
 DUAL_CHECK_MAX_N = 20
-# relative shifts probed when deciding membership in the singular-M closure
-SINGULAR_PROBE_SHIFTS = (1e-8, 1e-6, 1e-4)
+# relative shift probed when deciding membership in the singular-M closure
+SINGULAR_PROBE_SHIFT = 1e-8
 POWER_ITERATION_TOL = 1e-10
 POWER_ITERATION_MAX_STEPS = 100_000
 
@@ -99,7 +99,8 @@ def classify(a, tol: float = 1e-9) -> MatrixClassReport:
     otherwise.  ``witnesses`` are the minors <= ``tol`` that the exhaustive
     test finds (at most 4 per size), else the leading ones.  ``m_class``
     distinguishes nonsingular M-matrices from members of the singular
-    closure, probed by the eps-shift test.
+    closure: a Z-matrix A is M-singular when A + eps*max|A|*I, with
+    eps = SINGULAR_PROBE_SHIFT, passes the leading-minor test.
     """
     mat = as_matrix(a)
     n = mat.shape[0]
@@ -121,13 +122,14 @@ def classify(a, tol: float = 1e-9) -> MatrixClassReport:
     else:
         is_p = True if nonsing else None
 
-    # singular closure: every shifted copy A + eps*max|A|*I passes the leading-minor
-    # test; the copies share A's off-diagonal entries, so Z is not tested again
+    # singular closure: once A + t*I is a nonsingular M-matrix, every leading minor
+    # of A + s*I grows with s >= t (Berman & Plemmons, ch. 6), so the smallest
+    # shift decides; the shifted copy shares A's off-diagonal entries, so Z is
+    # not tested again
     scale = float(np.max(np.abs(mat))) or 1.0
     if nonsing:
         m_class = M_NONSINGULAR
-    elif is_z and not any(_bad_leading_minors(mat + eps * scale * np.eye(n), tol)
-                          for eps in SINGULAR_PROBE_SHIFTS):
+    elif is_z and not _bad_leading_minors(mat + SINGULAR_PROBE_SHIFT * scale * np.eye(n), tol):
         m_class = M_SINGULAR
     else:
         m_class = NOT_M
@@ -136,37 +138,35 @@ def classify(a, tol: float = 1e-9) -> MatrixClassReport:
                              witnesses, zv)
 
 
-def perron_value(b, tol: float = POWER_ITERATION_TOL,
-                 max_steps: int = POWER_ITERATION_MAX_STEPS) -> float:
+def perron_value(b) -> float:
     """Dominant eigenvalue of a nonnegative matrix by power iteration."""
     mat = as_matrix(b)
     n = mat.shape[0]
     v = np.ones(n) / math.sqrt(n)
     lam = 0.0
-    for _ in range(max_steps):
+    for _ in range(POWER_ITERATION_MAX_STEPS):
         w = mat @ v
         norm = float(np.linalg.norm(w))
         if norm == 0.0:
             return 0.0
         v = w / norm
         new = float(v @ (mat @ v))
-        if abs(new - lam) <= tol * max(1.0, abs(new)):
+        if abs(new - lam) <= POWER_ITERATION_TOL * max(1.0, abs(new)):
             return new
         lam = new
     raise GenerationError(
-        f"power iteration did not converge within {max_steps} steps")
+        f"power iteration did not converge within {POWER_ITERATION_MAX_STEPS} steps")
 
 
-def well_conditioned_transform(n: int, rng: np.random.Generator,
-                               max_condition: float = 100.0) -> np.ndarray:
-    """Random invertible matrix with condition number at most ``max_condition``.
+def well_conditioned_transform(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Random invertible matrix with condition number at most 100.
 
     Built from an SVD of a Gaussian draw with the small singular values
     clamped, so the bound holds by construction.
     """
     g = rng.standard_normal((n, n))
     u, s, vt = np.linalg.svd(g)
-    s = np.maximum(s, s[0] / max_condition)
+    s = np.maximum(s, s[0] / 100.0)
     return (u * s) @ vt
 
 

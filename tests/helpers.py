@@ -15,7 +15,7 @@ import numpy as np
 from mnewton.charcoeff import CLOSURE_RTOL, ensure_conjugate_closed
 from mnewton.errors import InputError
 from mnewton.forms import _lowest_overlap, _weight
-from mnewton.linalg import _colex_masks, as_matrix, binomials, determinant, enumerate_subsets
+from mnewton.linalg import as_matrix, binomials, determinant, enumerate_subsets, subset_masks
 
 # brute-force minor enumeration bound (2^n determinants); override allowed.
 EXHAUSTIVE_MINOR_CAP = 16
@@ -192,7 +192,7 @@ def same_bits(a, b) -> bool:
 
 def incidence_matrix(n: int, m: int) -> np.ndarray:
     """0/1 matrix with one row per colex size-m subset, one column per element."""
-    masks = _colex_masks(n, m)
+    masks = subset_masks(n, m)
     return ((masks[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)).astype(np.int64)
 
 

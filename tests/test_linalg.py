@@ -53,6 +53,15 @@ def test_determinant_two_by_two_cases():
 
 def test_determinant_one_by_one_exact():
     assert determinant([[0.12345678912345]]) == 0.12345678912345
+    assert math.copysign(1.0, determinant([[-0.0]])) == -1.0
+
+
+def test_determinant_zero_column_is_exact_zero():
+    # a zero pivot column, with and without a zero pivot row
+    for a in ([[1.0, 0.0, 2.0], [3.0, 0.0, 4.0], [5.0, 0.0, 6.0]],
+              [[0.0, 0.0], [0.0, 1.0]]):
+        d = determinant(a)
+        assert d == 0.0 and math.copysign(1.0, d) == 1.0, a
 
 
 def test_determinant_matches_numpy_on_random():

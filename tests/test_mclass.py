@@ -134,6 +134,48 @@ def test_singular_m_closure_under_shifts():
             assert rep.m_class == M_NONSINGULAR
 
 
+# the closure rule over three probe shifts, an oracle for the one-shift probe
+THREE_PROBE_SHIFTS = (1e-8, 1e-6, 1e-4)
+
+
+def _passes_leading_minors(a, eps, tol=1e-9):
+    """Every leading minor of A + eps*max|A|*I is above ``tol``."""
+    n = a.shape[0]
+    b = a + eps * (float(np.max(np.abs(a))) or 1.0) * np.eye(n)
+    return all(determinant(b[:k, :k]) > tol for k in range(1, n + 1))
+
+
+def _closure_boundary_family():
+    """Generated M and singular-M matrices, and s*I - B for s around rho(B)."""
+    for n in (*range(2, 13), 16, 24, 32, 48, 64):
+        yield generate(GeneratorSpec("M", n, n))
+        yield generate(GeneratorSpec("singular-M", n, n))
+        b = np.random.default_rng(n).uniform(0.0, 1.0, (n, n))
+        rho = float(np.max(np.abs(np.linalg.eigvals(b))))
+        for ratio in (0.9, 0.99, 1 - 1e-6, 1.0, 1 + 1e-6, 1.01):
+            yield ratio * rho * np.eye(n) - b
+
+
+def test_singular_probe_matches_three_shift_rule():
+    seen = set()
+    for a in _closure_boundary_family():
+        rep = classify(a)
+        assert rep.is_z
+        # shift 0 is the nonsingular test itself
+        passes = [_passes_leading_minors(a, eps) for eps in (0.0, *THREE_PROBE_SHIFTS)]
+        assert passes == sorted(passes), passes          # fail..., then pass...
+        if passes[0]:
+            want = M_NONSINGULAR
+        elif all(passes[1:]):
+            want = M_SINGULAR
+        else:
+            want = NOT_M
+        assert rep.m_class == want, (a.shape[0], passes)
+        seen.add(tuple(passes[1:]))
+    # the family reaches the shifts' boundary: some copies pass only at the larger shifts
+    assert (False, False, True) in seen and (True, True, True) in seen
+
+
 def test_principal_submatrices_of_m_are_m():
     for seed in range(20):
         n = 3 + seed % 6
