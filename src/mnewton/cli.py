@@ -23,9 +23,12 @@ EXIT_USAGE = 2
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-9, help="check tolerance")
-    common.add_argument("--format", choices=("json", "text"), default="json")
+    # gen and identity check nothing against a tolerance, so they take no --tol
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=1e-9, help="check tolerance")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "text"), default="json")
+    common = [tol, fmt]
 
     p = argparse.ArgumentParser(
         prog="mnewton",
@@ -33,21 +36,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "M-matrices, subset-overlap quadratic forms, and NIEP screening.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    cl = sub.add_parser("classify", parents=[common],
+    cl = sub.add_parser("classify", parents=common,
                         help="classify a matrix as Z / P / M / inverse-M")
     cl.add_argument("--input", required=True, help="matrix JSON file")
 
-    co = sub.add_parser("coeffs", parents=[common],
+    co = sub.add_parser("coeffs", parents=common,
                         help="normalized characteristic-polynomial coefficients")
     co.add_argument("--input", help="matrix JSON file")
     co.add_argument("--spectrum", help="spectrum JSON file")
 
-    ne = sub.add_parser("newton", parents=[common],
+    ne = sub.add_parser("newton", parents=common,
                         help="Newton inequality margins of a matrix or spectrum")
     ne.add_argument("--input", help="matrix JSON file")
     ne.add_argument("--spectrum", help="spectrum JSON file")
 
-    sf = sub.add_parser("sfunc", parents=[common],
+    sf = sub.add_parser("sfunc", parents=common,
                         help="pair-sum split inequalities (ratio and pointwise)")
     sf.add_argument("--input", required=True, help="matrix JSON file")
     sf.add_argument("--m", type=int, help="split size m (all feasible when omitted)")
@@ -55,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     sf.add_argument("--override-caps", action="store_true",
                     help="lift the matrix order cap on the pair sums")
 
-    fo = sub.add_parser("forms", parents=[common],
+    fo = sub.add_parser("forms", parents=common,
                         help="build a subset-overlap form, check PSD and structure")
     fo.add_argument("--n", type=int, required=True)
     fo.add_argument("--m", type=int, required=True)
@@ -63,19 +66,19 @@ def build_parser() -> argparse.ArgumentParser:
     fo.add_argument("--export-csv", help="write the form entries as dense CSV")
     fo.add_argument("--export-json", help="write the form as JSON")
 
-    idp = sub.add_parser("identity", parents=[common],
+    idp = sub.add_parser("identity", parents=[fmt],
                          help="exact rational overlap-weight identity sum")
     idp.add_argument("--n", type=int, required=True)
     idp.add_argument("--m", type=int, required=True)
 
-    ns = sub.add_parser("niep-screen", parents=[common],
+    ns = sub.add_parser("niep-screen", parents=common,
                         help="necessary-condition screening of candidate spectra")
     ns.add_argument("--spectrum", required=True,
                     help="spectrum JSON file, or a directory of them")
     ns.add_argument("--jll-bound", type=int, default=DEFAULT_JLL_BOUND)
     ns.add_argument("--moment-k", type=int, default=DEFAULT_MOMENT_K)
 
-    ge = sub.add_parser("gen", parents=[common],
+    ge = sub.add_parser("gen", parents=[fmt],
                         help="emit a seeded matrix of a requested class as JSON")
     ge.add_argument("--input", help="generator-spec JSON file")
     ge.add_argument("--kind", choices=GENERATOR_KINDS)
@@ -177,13 +180,14 @@ def _cmd_forms(args):
     form = forms.build_form(args.n, args.m, args.kind)
     is_psd, min_eig = forms.psd_check(form, tol=max(args.tol, 1e-12))
     structure = forms.structure_checks(args.n, args.m, tol=max(args.tol, 1e-12))
-    # both exports are built before a target is opened: one over the cap writes no file
-    text = args.export_json and serialize.dumps_report(serialize.form_to_dict(form))
+    # both exports pass the cap check before a target is opened: one over the cap
+    # writes no file
+    exported = args.export_json and serialize.form_to_dict(form)
     if args.export_csv:
         serialize.form_to_csv(form, args.export_csv)
-    if text:
+    if exported:
         with open(args.export_json, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            serialize.write_report(exported, fh, end="")
     ok = is_psd and structure.ok
     return ok, {
         "command": "forms",
@@ -280,7 +284,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if not 0 < args.tol < math.inf:
+    if hasattr(args, "tol") and not 0 < args.tol < math.inf:
         print("error: field 'tol' must be positive and finite", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -289,7 +293,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.format == "json":
-        print(serialize.dumps_report(report))
+        serialize.write_report(report, sys.stdout)
     else:
         print("\n".join(_render_text(serialize.jsonable(report))))
     return EXIT_OK if ok else EXIT_VIOLATION

@@ -67,7 +67,9 @@ def _z_violations(a: np.ndarray, tol: float) -> list:
     """Off-diagonal entries above ``tol * max|A|`` as ((i, j), a_ij), 1-based, row-major."""
     positive = a > tol * np.max(np.abs(a))
     np.fill_diagonal(positive, False)
-    return [((int(i) + 1, int(j) + 1), float(a[i, j])) for i, j in np.argwhere(positive)]
+    # argwhere and boolean indexing both walk row-major, so the pairs line up
+    return [((i + 1, j + 1), x)
+            for (i, j), x in zip(np.argwhere(positive).tolist(), a[positive].tolist())]
 
 
 def _bad_leading_minors(a: np.ndarray, tol: float) -> list:

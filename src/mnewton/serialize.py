@@ -14,9 +14,12 @@ and spectrum records import numpy when they are read or written.
 
 ``dumps_report`` writes the layout of ``json.dumps(report, indent=2,
 sort_keys=True, default=_encode)`` itself, in one recursive function that
-appends to one list: with ``indent`` set, CPython's json drops its C
-encoder for the pure-Python generator one, which cost more than all the
-condition kernels of a 3000-spectrum ``niep-screen``.  The tests keep
+passes its text to a ``write`` callable: with ``indent`` set, CPython's json
+drops its C encoder for the pure-Python generator one, which cost more than
+all the condition kernels of a 3000-spectrum ``niep-screen``.  The writer
+streams: each container element of a list is joined from its own parts and
+handed to ``write`` at once, so ``write_report`` holds about one element (one
+spectrum's report, one form row) rather than the document.  The tests keep
 ``json.dumps`` as the oracle.
 """
 
@@ -190,41 +193,56 @@ def _key(k) -> str:
     return _quote(text)
 
 
-def _write(o, out: list, pad: str) -> None:
-    """Append the ``dumps_report`` text of ``o``, at indent ``pad``, to ``out``,
-    testing types in json's order."""
+def _write(o, write, pad: str) -> None:
+    """Pass the ``dumps_report`` text of ``o``, at indent ``pad``, to ``write``,
+    testing types in json's order.  A list's container elements are each rendered
+    into their own part list and written as one string, so a streaming ``write``
+    holds about one element at a time, not the document."""
     if isinstance(o, str):
-        out.append(_quote(o))
+        write(_quote(o))
     elif o is None or o is True or o is False:
-        out.append(_CONSTANTS[o])
+        write(_CONSTANTS[o])
     elif isinstance(o, int):
-        out.append(int.__repr__(o))
+        write(int.__repr__(o))
     elif isinstance(o, float):
-        out.append(_float(o))
+        write(_float(o))
     elif not isinstance(o, (list, tuple, dict)):
-        _write(_encode(o), out, pad)
+        _write(_encode(o), write, pad)
     elif not o:
-        out.append("{}" if isinstance(o, dict) else "[]")
+        write("{}" if isinstance(o, dict) else "[]")
     elif isinstance(o, dict):
         inner = pad + "  "
         sep = "{\n" + inner
         for k, v in sorted(o.items()):
-            out.append(sep + (_quote(k) if type(k) is str else _key(k)) + ": ")
-            _write(v, out, inner)
+            write(sep + (_quote(k) if type(k) is str else _key(k)) + ": ")
+            _write(v, write, inner)
             sep = ",\n" + inner
-        out.append("\n" + pad + "}")
+        write("\n" + pad + "}")
     else:
         inner = pad + "  "
         sep = "[\n" + inner
         for v in o:
-            out.append(sep)
-            _write(v, out, inner)
+            if type(v) is float:
+                write(sep + _float(v))
+            elif isinstance(v, (list, tuple, dict)):
+                parts = [sep]
+                _write(v, parts.append, inner)
+                write("".join(parts))
+            else:
+                write(sep)
+                _write(v, write, inner)
             sep = ",\n" + inner
-        out.append("\n" + pad + "]")
+        write("\n" + pad + "]")
 
 
 def dumps_report(report: dict) -> str:
     """Deterministic JSON: sorted keys, fixed layout, repr-exact floats."""
     out: list[str] = []
-    _write(report, out, "")
+    _write(report, out.append, "")
     return "".join(out)
+
+
+def write_report(report: dict, stream, end: str = "\n") -> None:
+    """Write ``dumps_report(report) + end`` to ``stream``, one list element at a time."""
+    _write(report, stream.write, "")
+    stream.write(end)

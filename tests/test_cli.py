@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from mnewton.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
+from mnewton.forms import build_form
 from mnewton.mclass import GeneratorSpec, generate
 from mnewton.niep import construct_perturbed, screen
-from mnewton.serialize import dumps_report, matrix_to_dict, spectrum_from_dict
+from mnewton.serialize import dumps_report, form_to_dict, matrix_to_dict, spectrum_from_dict
 
 
 def write_json(path, payload):
@@ -114,6 +115,13 @@ def test_forms_psd_and_exports(capsys, tmp_path):
     assert exported["kind"] == "psi" and len(exported["entries"]) == 10
 
 
+def test_forms_export_json_is_the_joined_form(capsys, tmp_path):
+    target = tmp_path / "psi.json"
+    code, _, _ = run(capsys, ["forms", "--n", "10", "--m", "5", "--export-json", str(target)])
+    assert code == EXIT_OK
+    assert target.read_bytes() == dumps_report(form_to_dict(build_form(10, 5, "psi"))).encode()
+
+
 def test_forms_over_dense_cap_reports_but_exports_nothing(capsys, tmp_path):
     code, out, _ = run(capsys, ["forms", "--n", "60", "--m", "30"])
     assert code == EXIT_OK
@@ -174,6 +182,23 @@ def test_niep_screen_report_is_the_screening_report(capsys, tmp_path):
     rep = screen(spectrum_from_dict(payload))
     assert out == dumps_report({**asdict(rep), "command": "niep-screen"}) + "\n"
     assert code == (EXIT_OK if rep.all_pass else EXIT_VIOLATION)
+
+
+def test_niep_screen_directory_is_the_joined_report(capsys, tmp_path):
+    payloads = {"a.json": {"values": [3.0, 3.0, -2.0, -2.0, -2.0]},
+                "b.json": {"values": [1.0, 0.5]},
+                "c.json": {"values": [[2.0, 0.0], [-0.5, 0.5], [-0.5, -0.5]]},
+                "d.json": {"values": [2.5]},
+                "e.json": {"values": [4.0, -1.0, -1.0, -1.0, -1.0]}}
+    for name, payload in payloads.items():
+        write_json(tmp_path / name, payload)
+    code, out, _ = run(capsys, ["niep-screen", "--spectrum", str(tmp_path)])
+    reports = [{**asdict(screen(spectrum_from_dict(p))), "file": name}
+               for name, p in payloads.items()]
+    ok = all(r["all_pass"] for r in reports)
+    assert out == dumps_report({"command": "niep-screen", "reports": reports,
+                                "all_pass": ok}) + "\n"
+    assert code == (EXIT_OK if ok else EXIT_VIOLATION)
 
 
 MALFORMED = "{not json"
@@ -320,6 +345,19 @@ def test_invalid_tol_exits_two(capsys, m_matrix_file):
                                 "--tol", "-1"])
     assert code == EXIT_USAGE
     assert "tol" in err
+
+
+@pytest.mark.parametrize("argv", [["gen", "--kind", "M", "--n", "3", "--seed", "1"],
+                                  ["identity", "--n", "10", "--m", "5"]])
+def test_gen_and_identity_take_no_tol(capsys, argv):
+    code, out, err = run(capsys, [*argv, "--tol", "0.5"])
+    assert code == EXIT_USAGE and out == ""
+    assert "unrecognized arguments: --tol 0.5" in err
+    code, out, _ = run(capsys, [argv[0], "--help"])
+    assert code == EXIT_OK and "--format" in out and "--tol" not in out
+    assert run(capsys, argv)[0] == EXIT_OK
+    _, out, _ = run(capsys, ["classify", "--help"])
+    assert "--tol" in out
 
 
 def test_unknown_command_exits_two(capsys):

@@ -1,7 +1,9 @@
 import csv
 import enum
+import io
 import json
 import math
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,6 +26,7 @@ from mnewton.serialize import (
     matrix_to_dict,
     spectrum_from_dict,
     spectrum_to_dict,
+    write_report,
 )
 
 
@@ -202,6 +205,18 @@ def test_dumps_report_matches_json_dumps(report):
     assert dumps_report(report) == dumps_oracle(report)
 
 
+def streamed(report) -> str:
+    stream = io.StringIO()
+    write_report(report, stream)
+    return stream.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(REPORTS)
+def test_write_report_streams_dumps_report(report):
+    assert streamed(report) == dumps_report(report) + "\n" == dumps_oracle(report) + "\n"
+
+
 def test_dumps_report_matches_json_dumps_on_edge_values():
     reports = [
         {}, [], (), {"a": {}, "b": [], "c": ()}, [[[]], {}],
@@ -215,6 +230,7 @@ def test_dumps_report_matches_json_dumps_on_edge_values():
     ]
     for report in reports:
         assert dumps_report(report) == dumps_oracle(report), report
+        assert streamed(report) == dumps_oracle(report) + "\n", report
 
 
 def test_dumps_report_raises_where_json_dumps_does():
@@ -225,3 +241,35 @@ def test_dumps_report_raises_where_json_dumps_does():
         with pytest.raises(TypeError) as got:
             dumps_report(bad)
         assert str(got.value) == str(want.value), bad
+        with pytest.raises(TypeError) as got:
+            write_report(bad, io.StringIO())
+        assert str(got.value) == str(want.value), bad
+
+
+def _niep_shaped(i: int) -> dict:
+    """One directory ``niep-screen`` report entry, with made-up values."""
+    return {"all_pass": i % 3 > 0, "conditions": {
+        name: {"margin": i / 7 - 100.0, "note": "verified for k <= 20", "status": "pass",
+               "witness": [i % 5, 2]}
+        for name in ("jll", "laffey_meehan", "moments", "newton_shift")},
+        "file": f"s{i:05d}.json", "n": 3 + i % 10,
+        "params": {"jll_bound": 30, "moment_k": 20, "tol": 1e-09}}
+
+
+def test_write_report_peak_memory_follows_one_element():
+    reports = [_niep_shaped(i) for i in range(3000)]
+    doc = {"all_pass": False, "command": "niep-screen", "reports": reports}
+    largest = max(len(dumps_report(r)) for r in reports)
+
+    class Sink:
+        def write(self, text):
+            pass
+
+    tracemalloc.start()
+    try:
+        write_report(doc, Sink())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # about 8x one entry streamed; joining the whole document peaks near 6x all 3000
+    assert peak < 20 * largest, (peak, largest)
