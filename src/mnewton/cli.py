@@ -119,7 +119,7 @@ def _coeffs_from_args(args):
 
 def _cmd_coeffs(args):
     c = _coeffs_from_args(args)
-    return True, {"command": "coeffs", "n": int(c.size - 1), "coeffs": c}
+    return True, {"command": "coeffs", "n": int(c.size - 1), "coeffs": c.tolist()}
 
 
 def _cmd_newton(args):
@@ -130,8 +130,8 @@ def _cmd_newton(args):
         "command": "newton",
         "n": int(c.size - 1),
         "tol": args.tol,
-        "coeffs": c,
-        **vars(rep),
+        "coeffs": c.tolist(),
+        **vars(rep), "margins": rep.margins.tolist(),
     }
 
 
@@ -195,7 +195,7 @@ def _cmd_forms(args):
         "dim": form.dim,
         "is_psd": is_psd,
         "min_eigenvalue": min_eig,
-        "structure": structure,
+        "structure": vars(structure),
     }
 
 
@@ -256,26 +256,23 @@ _HANDLERS = {
 }
 
 
-def _render_text(value, indent: int = 0) -> list[str]:
-    pad = "  " * indent
-    lines: list[str] = []
+def _render_text(value, write, pad: str = "") -> None:
+    """Write the ``--format text`` lines of a plain report one at a time: dict
+    items in field order as ``key: value``, list and tuple items as ``- value``."""
     if isinstance(value, dict):
         for key, val in value.items():
-            if isinstance(val, (dict, list)):
-                lines.append(f"{pad}{key}:")
-                lines.extend(_render_text(val, indent + 1))
+            if isinstance(val, (dict, list, tuple)):
+                write(f"{pad}{key}:\n")
+                _render_text(val, write, pad + "  ")
             else:
-                lines.append(f"{pad}{key}: {val}")
-    elif isinstance(value, list):
-        for val in value:
-            if isinstance(val, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.extend(_render_text(val, indent + 1))
-            else:
-                lines.append(f"{pad}- {val}")
+                write(f"{pad}{key}: {val}\n")
     else:
-        lines.append(f"{pad}{value}")
-    return lines
+        for val in value:
+            if isinstance(val, (dict, list, tuple)):
+                write(f"{pad}-\n")
+                _render_text(val, write, pad + "  ")
+            else:
+                write(f"{pad}- {val}\n")
 
 
 def main(argv=None) -> int:
@@ -295,7 +292,7 @@ def main(argv=None) -> int:
     if args.format == "json":
         serialize.write_report(report, sys.stdout)
     else:
-        print("\n".join(_render_text(serialize.jsonable(report))))
+        _render_text(report, sys.stdout.write)
     return EXIT_OK if ok else EXIT_VIOLATION
 
 

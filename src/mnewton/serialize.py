@@ -12,23 +12,19 @@ default dialect without the writer: cells are repr floats, which never
 need quoting, joined by commas, and every row ends in ``\r\n``.  Matrix
 and spectrum records import numpy when they are read or written.
 
-``dumps_report`` writes the layout of ``json.dumps(report, indent=2,
-sort_keys=True, default=_encode)`` itself, in one recursive function that
-passes its text to a ``write`` callable: with ``indent`` set, CPython's json
-drops its C encoder for the pure-Python generator one, which cost more than
-all the condition kernels of a 3000-spectrum ``niep-screen``.  The writer
-streams: each container element of a list is joined from its own parts and
-handed to ``write`` at once, so ``write_report`` holds about one element (one
-spectrum's report, one form row) rather than the document.  The tests keep
-``json.dumps`` as the oracle.
+Reports are plain JSON values (str-keyed dicts, lists, tuples, str, int,
+float, bool, None), as the ``cli`` handlers build them; ``write_report``
+raises ``TypeError`` naming any other type, numpy scalars included.  It
+writes json's ``indent=2, sort_keys=True`` layout itself, since CPython's
+json drops its C encoder whenever ``indent`` is set, and streams: each
+container element of a list is joined from its own parts and written at
+once, so it holds about one element (one spectrum's report, one form row),
+not the document.  The tests keep ``json.dumps`` as the oracle.
 """
 
 from __future__ import annotations
 
 import json
-import sys
-from dataclasses import asdict, is_dataclass
-from fractions import Fraction
 from numbers import Integral, Real
 
 from .errors import InputError
@@ -83,6 +79,8 @@ def matrix_from_dict(d):
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             raise InputError(f"field 'rows'[{i}] must be a list of length {n}")
+        for j, x in enumerate(row):
+            _as_real(x, "rows[{}][{}]", i, j)
     try:
         return as_matrix(rows)
     except InputError as exc:
@@ -146,27 +144,6 @@ def form_to_csv(form: FormMatrix, path) -> None:
         fh.writelines(",".join(row) + "\r\n" for row in rows)
 
 
-def _encode(obj):
-    """Plain JSON value for a report value that is not one (the hook of both writers)."""
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return asdict(obj)
-    np = sys.modules.get("numpy")     # without numpy loaded no array can exist
-    if np is not None and isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if np is not None and isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
-def jsonable(obj):
-    """The report as plain JSON values, in field order (what ``--format text`` renders)."""
-    return json.loads(json.dumps(obj, default=_encode))
-
-
 def _float(x: float) -> str:
     """A float as json spells it."""
     if x != x:
@@ -178,43 +155,28 @@ def _float(x: float) -> str:
     return float.__repr__(x)
 
 
-def _key(k) -> str:
-    """A dict key as json quotes it."""
-    if isinstance(k, str):
-        text = k
-    elif isinstance(k, float):
-        text = _float(k)
-    elif k is True or k is False or k is None:
-        text = _CONSTANTS[k]
-    elif isinstance(k, int):
-        text = int.__repr__(k)
-    else:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
-    return _quote(text)
-
-
 def _write(o, write, pad: str) -> None:
-    """Pass the ``dumps_report`` text of ``o``, at indent ``pad``, to ``write``,
-    testing types in json's order.  A list's container elements are each rendered
-    into their own part list and written as one string, so a streaming ``write``
-    holds about one element at a time, not the document."""
+    """Pass the text of plain value ``o``, at indent ``pad``, to ``write``, testing
+    types in json's order; each container element of a list is written as one string."""
     if isinstance(o, str):
         write(_quote(o))
     elif o is None or o is True or o is False:
         write(_CONSTANTS[o])
     elif isinstance(o, int):
         write(int.__repr__(o))
-    elif isinstance(o, float):
+    elif isinstance(o, float) and not hasattr(o, "dtype"):   # numpy's float64 is a float
         write(_float(o))
     elif not isinstance(o, (list, tuple, dict)):
-        _write(_encode(o), write, pad)
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
     elif not o:
         write("{}" if isinstance(o, dict) else "[]")
     elif isinstance(o, dict):
         inner = pad + "  "
         sep = "{\n" + inner
         for k, v in sorted(o.items()):
-            write(sep + (_quote(k) if type(k) is str else _key(k)) + ": ")
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            write(sep + _quote(k) + ": ")
             _write(v, write, inner)
             sep = ",\n" + inner
         write("\n" + pad + "}")
@@ -235,14 +197,7 @@ def _write(o, write, pad: str) -> None:
         write("\n" + pad + "]")
 
 
-def dumps_report(report: dict) -> str:
-    """Deterministic JSON: sorted keys, fixed layout, repr-exact floats."""
-    out: list[str] = []
-    _write(report, out.append, "")
-    return "".join(out)
-
-
 def write_report(report: dict, stream, end: str = "\n") -> None:
-    """Write ``dumps_report(report) + end`` to ``stream``, one list element at a time."""
+    """Write ``json.dumps(report, indent=2, sort_keys=True) + end`` to ``stream``."""
     _write(report, stream.write, "")
     stream.write(end)

@@ -3,7 +3,8 @@ batched and exact minors as oracles of the Schur-complement tree,
 brute-force minor sums, polynomial roots by a companion matrix, the
 numpy-scalar coefficient recurrence and conjugate pairing, a bitwise array
 comparison, subset incidence vectors, form eigenvalues through Eberlein
-polynomials, and the float64-array form weights."""
+polynomials, the float64-array form weights, and a made-up ``niep-screen``
+report entry."""
 
 from __future__ import annotations
 
@@ -213,3 +214,13 @@ def weights_numpy(n: int, m: int, kind: str) -> np.ndarray:
     """Form weights f(0..m) as one float64 array expression (the route the
     Python-float ``FormMatrix.weights`` replaced)."""
     return _weight(n, m, kind, np.arange(m + 1), 1.0)
+
+
+def niep_shaped(i: int) -> dict:
+    """One directory ``niep-screen`` report entry, with made-up values."""
+    return {"all_pass": i % 3 > 0, "conditions": {
+        name: {"margin": i / 7 - 100.0, "note": "verified for k <= 20", "status": "pass",
+               "witness": [i % 5, 2]}
+        for name in ("jll", "laffey_meehan", "moments", "newton_shift")},
+        "file": f"s{i:05d}.json", "n": 3 + i % 10,
+        "params": {"jll_bound": 30, "moment_k": 20, "tol": 1e-09}}

@@ -1,18 +1,26 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mnewton.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
+from helpers import niep_shaped
+from mnewton.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, _render_text, main
 from mnewton.forms import build_form
 from mnewton.mclass import GeneratorSpec, generate
 from mnewton.niep import construct_perturbed, screen
-from mnewton.serialize import dumps_report, form_to_dict, matrix_to_dict, spectrum_from_dict
+from mnewton.serialize import form_to_dict, matrix_to_dict, spectrum_from_dict
+
+
+def dumps(report) -> str:
+    """The report bytes the CLI writes, less the final newline."""
+    return json.dumps(report, indent=2, sort_keys=True)
 
 
 def write_json(path, payload):
@@ -119,7 +127,7 @@ def test_forms_export_json_is_the_joined_form(capsys, tmp_path):
     target = tmp_path / "psi.json"
     code, _, _ = run(capsys, ["forms", "--n", "10", "--m", "5", "--export-json", str(target)])
     assert code == EXIT_OK
-    assert target.read_bytes() == dumps_report(form_to_dict(build_form(10, 5, "psi"))).encode()
+    assert target.read_bytes() == dumps(form_to_dict(build_form(10, 5, "psi"))).encode()
 
 
 def test_forms_over_dense_cap_reports_but_exports_nothing(capsys, tmp_path):
@@ -180,7 +188,7 @@ def test_niep_screen_report_is_the_screening_report(capsys, tmp_path):
     spec = write_json(tmp_path / "s.json", payload)
     code, out, _ = run(capsys, ["niep-screen", "--spectrum", spec])
     rep = screen(spectrum_from_dict(payload))
-    assert out == dumps_report({**asdict(rep), "command": "niep-screen"}) + "\n"
+    assert out == dumps({**asdict(rep), "command": "niep-screen"}) + "\n"
     assert code == (EXIT_OK if rep.all_pass else EXIT_VIOLATION)
 
 
@@ -196,8 +204,8 @@ def test_niep_screen_directory_is_the_joined_report(capsys, tmp_path):
     reports = [{**asdict(screen(spectrum_from_dict(p))), "file": name}
                for name, p in payloads.items()]
     ok = all(r["all_pass"] for r in reports)
-    assert out == dumps_report({"command": "niep-screen", "reports": reports,
-                                "all_pass": ok}) + "\n"
+    assert out == dumps({"command": "niep-screen", "reports": reports,
+                         "all_pass": ok}) + "\n"
     assert code == (EXIT_OK if ok else EXIT_VIOLATION)
 
 
@@ -378,3 +386,44 @@ def test_text_format_renders(capsys, m_matrix_file):
                                 "--format", "text"])
     assert code == EXIT_OK
     assert "holds: True" in out
+
+
+def rendered(report) -> str:
+    lines = []
+    _render_text(report, lines.append)
+    return "".join(lines)
+
+
+def test_text_format_renders_plain_values_line_by_line():
+    # no golden holds a non-finite value, an empty container or a nested tuple
+    report = {"command": "newton", "n": 3, "margins": [math.nan, math.inf, -math.inf, -0.0],
+              "witness": ((1, 2), 0.5), "skipped": [], "params": {}, "note": "",
+              "conditions": {"jll": {"status": "pass", "margin": -0.0, "witness": None},
+                             "moments": {"status": "fail", "margin": -math.inf,
+                                         "witness": [[], {}]}},
+              "holds": False}
+    assert rendered(report).splitlines() == [
+        "command: newton", "n: 3",
+        "margins:", "  - nan", "  - inf", "  - -inf", "  - -0.0",
+        "witness:", "  -", "    - 1", "    - 2", "  - 0.5",
+        "skipped:", "params:", "note: ",
+        "conditions:",
+        "  jll:", "    status: pass", "    margin: -0.0", "    witness: None",
+        "  moments:", "    status: fail", "    margin: -inf", "    witness:", "      -", "      -",
+        "holds: False",
+    ]
+    assert rendered(report).endswith("holds: False\n")
+
+
+def test_text_format_peak_memory_follows_one_element():
+    reports = [niep_shaped(i) for i in range(3000)]
+    doc = {"command": "niep-screen", "reports": reports, "all_pass": False}
+    largest = max(len(rendered(r)) for r in reports)
+    tracemalloc.start()
+    try:
+        _render_text(doc, lambda text: None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a few times one entry streamed; the whole document's lines are 3000 entries
+    assert peak < 20 * largest, (peak, largest)

@@ -34,6 +34,7 @@ CASES = {
     "classify-invm4": ["classify", "--input", "inputs/invm4.json"],
     "classify-malformed": ["classify", "--input", "inputs/malformed.json"],
     "classify-bad-rows": ["classify", "--input", "inputs/bad_rows.json"],
+    "classify-string-entry": ["classify", "--input", "inputs/string_entry.json"],
     "classify-missing-file": ["classify", "--input", "inputs/missing.json"],
     "coeffs-diag3": ["coeffs", "--input", "inputs/diag3.json"],
     "coeffs-diag3-text": ["coeffs", "--input", "inputs/diag3.json", "--format", "text"],
@@ -128,9 +129,14 @@ def test_cases_cover_every_subcommand_and_exit_code():
     assert {argv[0] for argv in CASES.values()} == set(cli._HANDLERS)
     # regenerating never deletes a case directory, so a stale one must fail here
     assert {p.name for p in (GOLDEN / "expected").iterdir()} == set(CASES)
-    codes = {(GOLDEN / "expected" / name / "exit_code").read_text().strip()
+    codes = {name: (GOLDEN / "expected" / name / "exit_code").read_text().strip()
              for name in CASES}
-    assert codes == {"0", "1", "2"}
+    assert set(codes.values()) == {"0", "1", "2"}
+    # a report golden in JSON (which the writer refuses unless every value is
+    # plain) and one in text, for every handler
+    formats = {(argv[0], argv[argv.index("--format") + 1] if "--format" in argv else "json")
+               for name, argv in CASES.items() if codes[name] != "2"}
+    assert formats == {(cmd, fmt) for cmd in cli._HANDLERS for fmt in ("json", "text")}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
