@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "charcoeff": "NewtonReport coeffs_from_spectrum ensure_conjugate_closed newton_check "
                  "normalized_coeffs",
-    "errors": "GenerationError InputError",
+    "errors": "InputError",
     "forms": "FormMatrix binomial_identity_sum build_form psd_check quadratic_apply "
              "structure_checks",
     "linalg": "determinant enumerate_subsets principal_minors_all",

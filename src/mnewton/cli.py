@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import forms, serialize
 from .defaults import DEFAULT_JLL_BOUND, DEFAULT_MOMENT_K, GENERATOR_KINDS
-from .errors import GenerationError, InputError
+from .errors import InputError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -183,11 +183,16 @@ def _cmd_forms(args):
     # both exports pass the cap check before a target is opened: one over the cap
     # writes no file
     exported = args.export_json and serialize.form_to_dict(form)
-    if args.export_csv:
-        serialize.form_to_csv(form, args.export_csv)
-    if exported:
-        with open(args.export_json, "w", encoding="utf-8") as fh:
-            serialize.write_report(exported, fh, end="")
+    target = args.export_csv
+    try:
+        if target:
+            serialize.form_to_csv(form, target)
+        if exported:
+            target = args.export_json
+            with open(target, "w", encoding="utf-8") as fh:
+                serialize.write_report(exported, fh, end="")
+    except OSError as exc:
+        raise InputError(f"cannot write {target}: {exc}") from None
     ok = is_psd and structure.ok
     return ok, {
         "command": "forms",
@@ -286,7 +291,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         ok, report = _HANDLERS[args.command](args)
-    except (InputError, GenerationError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.format == "json":

@@ -3,7 +3,3 @@
 
 class InputError(ValueError):
     """User-supplied data violates a documented precondition."""
-
-
-class GenerationError(RuntimeError):
-    """A seeded matrix generator failed to converge."""

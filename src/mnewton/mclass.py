@@ -15,15 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .defaults import GENERATOR_KINDS
-from .errors import GenerationError, InputError
+from .errors import InputError
 from .linalg import as_matrix, determinant, principal_minors_by_mask
 
 P_TEST_MAX_N = 12
 DUAL_CHECK_MAX_N = 20
 # relative shift probed when deciding membership in the singular-M closure
 SINGULAR_PROBE_SHIFT = 1e-8
-POWER_ITERATION_TOL = 1e-10
-POWER_ITERATION_MAX_STEPS = 100_000
 
 M_NONSINGULAR = "M-nonsingular"
 M_SINGULAR = "M-singular"
@@ -59,6 +57,8 @@ class GeneratorSpec:
                 f"unknown generator kind {self.kind!r}; expected one of {GENERATOR_KINDS}")
         if self.n < 1:
             raise InputError("generator order n must be >= 1")
+        if self.seed < 0:
+            raise InputError("generator seed must be >= 0")
         if not 0 < self.margin < math.inf:
             raise InputError("diagonal-dominance margin must be positive and finite")
 
@@ -140,26 +140,6 @@ def classify(a, tol: float = 1e-9) -> MatrixClassReport:
                              witnesses, zv)
 
 
-def perron_value(b) -> float:
-    """Dominant eigenvalue of a nonnegative matrix by power iteration."""
-    mat = as_matrix(b)
-    n = mat.shape[0]
-    v = np.ones(n) / math.sqrt(n)
-    lam = 0.0
-    for _ in range(POWER_ITERATION_MAX_STEPS):
-        w = mat @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        new = float(v @ (mat @ v))
-        if abs(new - lam) <= POWER_ITERATION_TOL * max(1.0, abs(new)):
-            return new
-        lam = new
-    raise GenerationError(
-        f"power iteration did not converge within {POWER_ITERATION_MAX_STEPS} steps")
-
-
 def well_conditioned_transform(n: int, rng: np.random.Generator) -> np.ndarray:
     """Random invertible matrix with condition number at most 100.
 
@@ -188,7 +168,8 @@ def generate(spec: GeneratorSpec) -> np.ndarray:
         return np.linalg.inv(_random_m(rng, n, spec.margin))
     if spec.kind == "singular-M":
         b = rng.uniform(0.0, 1.0, (n, n))
-        return perron_value(b) * np.eye(n) - b
+        # B >= 0, so rho(B) is an eigenvalue and bounds every real part (Perron-Frobenius)
+        return float(np.max(np.linalg.eigvals(b).real)) * np.eye(n) - b
     m = _random_m(rng, n, spec.margin)
     t = well_conditioned_transform(n, rng)
     return t @ m @ np.linalg.inv(t)

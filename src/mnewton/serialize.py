@@ -41,7 +41,7 @@ def load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:     # undecodable bytes, bad or deep JSON
         raise InputError(f"{path}: malformed JSON ({exc})") from None
 
 
@@ -65,7 +65,10 @@ def _as_real(value, name: str, *index) -> float:
         return value
     if isinstance(value, bool) or not isinstance(value, Real):
         raise InputError(f"field {name.format(*index)!r} must be a real number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:       # an integer literal beyond the doubles
+        raise InputError(f"field {name.format(*index)!r} is too large for a float") from None
 
 
 def matrix_from_dict(d):

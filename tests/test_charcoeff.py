@@ -97,6 +97,14 @@ def test_ensure_conjugate_closed_rejects_non_finite_before_pairing(values):
     assert str(exc.value) == "spectrum values must be finite"
 
 
+def test_ensure_conjugate_closed_rejects_non_numbers_and_empty():
+    for values in (["x"], [1.0, object()]):
+        with pytest.raises(InputError, match="spectrum values must be numbers: "):
+            ensure_conjugate_closed(values)
+    with pytest.raises(InputError, match="spectrum must be nonempty"):
+        ensure_conjugate_closed([])
+
+
 def same_closure(values):
     """``ensure_conjugate_closed`` returns what the numpy-scalar pairing does,
     bit for bit, or raises the same message."""
@@ -161,6 +169,8 @@ def test_newton_check_examples():
 def test_newton_check_validates_normalization():
     with pytest.raises(InputError):
         newton_check([2.0, 1.0, 1.0])
+    with pytest.raises(InputError, match="coefficient vector must be nonempty"):
+        newton_check([])
 
 
 def test_newton_check_trivial_sizes():

@@ -106,6 +106,9 @@ def test_sfunc_single_pair_and_infeasible(capsys, m_matrix_file):
                                 "--m", "4", "--k", "0"])
     assert code == EXIT_USAGE
     assert "infeasible" in err
+    code, out, err = run(capsys, ["sfunc", "--input", m_matrix_file, "--m", "0"])
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: no feasible (m, k) parameters for n = 5\n"
 
 
 def test_forms_psd_and_exports(capsys, tmp_path):
@@ -140,6 +143,16 @@ def test_forms_over_dense_cap_reports_but_exports_nothing(capsys, tmp_path):
         assert code == EXIT_USAGE and not out
         assert "exceeds cap 5000" in err
         assert not target.exists()
+
+
+@pytest.mark.parametrize("flag", ["--export-csv", "--export-json"])
+def test_forms_unwritable_export_exits_two_without_report(capsys, tmp_path, flag):
+    for target in (tmp_path / "missing" / "x.out", tmp_path):
+        code, out, err = run(capsys, ["forms", "--n", "6", "--m", "3", flag, str(target)])
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith(f"error: cannot write {target}: [Errno ")
+        assert err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
 
 
 def test_forms_overflowing_eigenvalue_exits_two(capsys):
@@ -306,6 +319,56 @@ def test_niep_screen_overflow_warnings_do_not_grow_with_files(tmp_path):
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
     assert proc.returncode == EXIT_VIOLATION
     assert 0 < proc.stderr.count("RuntimeWarning") <= 6
+
+
+BEYOND_DOUBLES = "1" + "0" * 400       # an integer literal no double can hold
+
+MALFORMED_INPUTS = {
+    "big_value.json": '{"values": [%s, 1]}' % BEYOND_DOUBLES,
+    "big_entry.json": '{"n": 2, "rows": [[1, 0], [%s, 1]]}' % BEYOND_DOUBLES,
+    "big_margin.json": '{"kind": "M", "n": 3, "seed": 1, "margin": %s}' % BEYOND_DOUBLES,
+    "negative_seed.json": '{"kind": "M", "n": 3, "seed": -1}',
+    "binary.json": b"\xff\xfe{\x00}\x00",
+    "deep.json": "[" * 100_000 + "]" * 100_000,
+}
+
+MALFORMED_CALLS = [
+    (["niep-screen", "--spectrum", "big_value.json"], "field 'values[0]' is too large"),
+    (["newton", "--spectrum", "big_value.json"], "field 'values[0]' is too large"),
+    (["classify", "--input", "big_entry.json"], "field 'rows[1][0]' is too large"),
+    (["gen", "--input", "big_margin.json"], "field 'margin' is too large"),
+    (["gen", "--input", "negative_seed.json"], "generator seed must be >= 0"),
+    (["gen", "--kind", "M", "--n", "3", "--seed", "-5"], "generator seed must be >= 0"),
+    (["classify", "--input", "binary.json"], "binary.json: malformed JSON ('utf-8' codec"),
+    (["niep-screen", "--spectrum", "binary.json"], "binary.json: malformed JSON ('utf-8'"),
+    (["classify", "--input", "deep.json"], "deep.json: malformed JSON (maximum recursion"),
+    (["niep-screen", "--spectrum", "deep.json"], "deep.json: malformed JSON (maximum"),
+    (["niep-screen", "--spectrum", "batch"], "batch/b.json: malformed JSON ('utf-8'"),
+    (["forms", "--n", "6", "--m", "3", "--export-csv", "missing/x.csv"],
+     "cannot write missing/x.csv: "),
+    (["forms", "--n", "6", "--m", "3", "--export-json", "missing/x.json"],
+     "cannot write missing/x.json: "),
+]
+
+
+def test_malformed_inputs_exit_two_with_one_error_line(tmp_path):
+    for name, data in MALFORMED_INPUTS.items():
+        path = tmp_path / name
+        path.write_bytes(data if isinstance(data, bytes) else data.encode())
+    # a directory names its first bad file in sorted order
+    (tmp_path / "batch").mkdir()
+    for name, data in (("a.json", b'{"values": [1]}'), ("b.json", MALFORMED_INPUTS["binary.json"]),
+                       ("c.json", b"[" * 100_000)):
+        (tmp_path / "batch" / name).write_bytes(data)
+    src = Path(__file__).resolve().parents[1] / "src"
+    for argv, message in MALFORMED_CALLS:
+        proc = subprocess.run([sys.executable, "-m", "mnewton.cli", *argv], cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == EXIT_USAGE, (argv, proc.stderr)
+        assert proc.stdout == "", argv
+        assert proc.stderr.startswith("error: " + message), (argv, proc.stderr)
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr, argv
 
 
 def test_gen_pipes_into_classify(capsys, tmp_path):

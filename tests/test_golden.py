@@ -36,6 +36,7 @@ CASES = {
     "classify-bad-rows": ["classify", "--input", "inputs/bad_rows.json"],
     "classify-string-entry": ["classify", "--input", "inputs/string_entry.json"],
     "classify-missing-file": ["classify", "--input", "inputs/missing.json"],
+    "classify-binary": ["classify", "--input", "inputs/binary.json"],
     "coeffs-diag3": ["coeffs", "--input", "inputs/diag3.json"],
     "coeffs-diag3-text": ["coeffs", "--input", "inputs/diag3.json", "--format", "text"],
     "coeffs-spectrum": ["coeffs", "--spectrum", "inputs/spectra/c_complex.json"],
@@ -89,6 +90,7 @@ CASES = {
     "niep-screen-no-spectra": ["niep-screen", "--spectrum", "inputs/nojson"],
     "niep-screen-bad-jll-bound": ["niep-screen", "--spectrum", "inputs/spectra/b_pass.json",
                                   "--jll-bound", "1"],
+    "niep-screen-huge-int": ["niep-screen", "--spectrum", "inputs/huge_int.json"],
     "niep-screen-bad-moment-k": ["niep-screen", "--spectrum", "inputs/spectra/b_pass.json",
                                  "--moment-k", "0"],
     "gen-m-4-3": ["gen", "--kind", "M", "--n", "4", "--seed", "3"],
@@ -99,6 +101,7 @@ CASES = {
     "gen-missing-seed": ["gen", "--kind", "M", "--n", "4"],
     "gen-margin-inf": ["gen", "--kind", "M", "--n", "3", "--seed", "1", "--margin", "inf"],
     "gen-bad-kind": ["gen", "--input", "inputs/gen_badkind.json"],
+    "gen-negative-seed": ["gen", "--kind", "M", "--n", "3", "--seed", "-5"],
 }
 
 

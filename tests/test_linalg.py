@@ -39,6 +39,9 @@ def test_as_matrix_rejects_bad_shapes():
         as_matrix([[1.0, np.inf], [0.0, 1.0]])
     with pytest.raises(InputError):
         as_matrix(np.zeros((0, 0)))
+    for entries in ([[1j]], [["a"]], [[1.0, 2.0 + 0j], [0.0, 1.0]]):
+        with pytest.raises(InputError, match="matrix entries must be real numbers: "):
+            as_matrix(entries)
 
 
 def test_determinant_identity_order_5():
@@ -230,6 +233,9 @@ def test_small_size_minors_at_forty_stay_small():
     assert np.allclose(got, principal_minors_batched(a, 2), rtol=1e-13, atol=0.0)
     with pytest.raises(InputError):
         principal_minors_all(np.eye(65), 1)        # bitmasks hold n <= 64
+    for m in (-1, 5):
+        with pytest.raises(InputError, match=r"minor size -?\d out of range 0\.\.3"):
+            principal_minors_all(np.eye(3), m)
 
 
 def test_enumerate_subsets_examples():

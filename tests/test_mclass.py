@@ -14,7 +14,6 @@ from mnewton.mclass import (
     classify,
     dual_minor_identity_check,
     generate,
-    perron_value,
     well_conditioned_transform,
 )
 
@@ -134,6 +133,21 @@ def test_singular_m_closure_under_shifts():
             assert rep.m_class == M_NONSINGULAR
 
 
+def test_generate_singular_m_is_singular_to_round_off():
+    # rho(B)*I - B is singular to round-off only when rho(B) is exact to round-off
+    for n in (*range(1, 13), 16, 24, 32, 48, 64):
+        for seed in range(100):
+            mod = np.abs(np.linalg.eigvals(generate(GeneratorSpec("singular-M", n, seed))))
+            assert mod.min() <= 1e-12 * mod.max(), (n, seed)
+
+
+@pytest.mark.parametrize("n, seed", [(6, 1466299489), (11, 1702508154)])
+def test_generated_singular_m_lies_in_the_closure(n, seed):
+    # matrix-sweep items where a Perron root 1e-8 short fell outside the probe shift
+    rep = classify(generate(GeneratorSpec("singular-M", n, seed)))
+    assert rep.m_class in (M_NONSINGULAR, M_SINGULAR)
+
+
 # the closure rule over three probe shifts, an oracle for the one-shift probe
 THREE_PROBE_SHIFTS = (1e-8, 1e-6, 1e-4)
 
@@ -204,15 +218,6 @@ def test_similarity_transform_condition_bound():
         assert np.linalg.cond(t) <= 100.0 + 1e-6
 
 
-def test_perron_value_matches_eigensolver():
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        n = int(rng.integers(2, 9))
-        b = rng.uniform(0.0, 1.0, (n, n))
-        ref = max(np.linalg.eigvals(b).real)
-        assert perron_value(b) == pytest.approx(ref, rel=1e-8, abs=1e-8)
-
-
 def test_generator_spec_validation():
     with pytest.raises(InputError):
         GeneratorSpec("H", 4, 0)
@@ -220,6 +225,12 @@ def test_generator_spec_validation():
         GeneratorSpec("M", 0, 0)
     with pytest.raises(InputError):
         GeneratorSpec("M", 4, 0, margin=0.0)
+
+
+@pytest.mark.parametrize("seed", [-1, -5, -2**63])
+def test_generator_spec_rejects_negative_seed(seed):
+    with pytest.raises(InputError, match="seed must be >= 0"):
+        GeneratorSpec("M", 3, seed)
 
 
 @pytest.mark.parametrize("margin", [math.inf, -math.inf, math.nan])

@@ -62,6 +62,33 @@ def test_matrix_from_dict_rejects_entries_that_are_not_numbers():
         [2.0, -1.0], [-1.0, 2.5]]
 
 
+def test_matrix_from_dict_rejects_non_objects_empty_and_infinite():
+    for d in ([[1.0]], "m", None):
+        with pytest.raises(InputError, match="expected a JSON object with field 'n'"):
+            matrix_from_dict(d)
+    with pytest.raises(InputError, match="field 'n' must be a positive integer"):
+        matrix_from_dict({"n": 0, "rows": []})
+    # json reads Infinity as a float, which is a real number but not a finite one
+    with pytest.raises(InputError) as exc:
+        matrix_from_dict(json.loads('{"n": 2, "rows": [[1, Infinity], [0, 1]]}'))
+    assert str(exc.value) == "field 'rows': matrix entries must be finite"
+
+
+BEYOND_DOUBLES = 10 ** 400
+
+
+@pytest.mark.parametrize("read, record, field", [
+    (spectrum_from_dict, {"values": [1.0, [2.0, BEYOND_DOUBLES]]}, "values[1][1]"),
+    (matrix_from_dict, {"n": 2, "rows": [[1, 0], [-BEYOND_DOUBLES, 1]]}, "rows[1][0]"),
+    (generator_spec_from_dict, {"kind": "M", "n": 3, "seed": 1, "margin": BEYOND_DOUBLES},
+     "margin"),
+])
+def test_integers_beyond_the_doubles_name_their_field(read, record, field):
+    with pytest.raises(InputError) as exc:
+        read(record)
+    assert str(exc.value) == f"field {field!r} is too large for a float"
+
+
 def test_spectrum_roundtrip_and_bare_reals():
     d = {"values": [[1.0, 2.0], [1.0, -2.0], 3.0]}
     vals = spectrum_from_dict(d)
@@ -73,6 +100,8 @@ def test_spectrum_roundtrip_and_bare_reals():
 def test_spectrum_from_dict_diagnostics():
     with pytest.raises(InputError, match="'values'"):
         spectrum_from_dict({})
+    with pytest.raises(InputError, match="field 'values' must be a nonempty list"):
+        spectrum_from_dict({"values": []})
     cases = [
         ([[1.0, 2.0, 3.0]], "field 'values'[0] must be [re, im]"),
         ([1.0, [2.0]], "field 'values'[1] must be [re, im]"),
@@ -103,6 +132,10 @@ def test_generator_spec_from_dict():
         generator_spec_from_dict({"kind": "M", "n": 4})
     with pytest.raises(InputError):
         generator_spec_from_dict({"kind": "Q", "n": 4, "seed": 0})
+    with pytest.raises(InputError, match="field 'kind' must be a string"):
+        generator_spec_from_dict({"kind": 1, "n": 4, "seed": 0})
+    with pytest.raises(InputError, match="seed must be >= 0"):
+        generator_spec_from_dict({"kind": "M", "n": 4, "seed": -1})
     assert generator_spec_from_dict({"kind": "M", "n": 4, "seed": 7, "margin": 1}).margin == 1.0
     for margin in ("big", False, None, [0.1]):
         with pytest.raises(InputError) as exc:
@@ -148,6 +181,19 @@ def test_load_json_malformed(tmp_path):
         load_json(path)
     with pytest.raises(InputError, match="cannot read"):
         load_json(tmp_path / "missing.json")
+
+
+@pytest.mark.parametrize("data, cause", [
+    (b"\xff\xfe{\x00}\x00", "'utf-8' codec can't decode byte 0xff"),
+    (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+    (b"[" + b"1" * 5000 + b"]", "Exceeds the limit (4300 digits)"),
+], ids=["not-utf-8", "nested-100000-deep", "5000-digit-integer"])
+def test_load_json_reports_undecodable_and_unparsable_files(tmp_path, data, cause):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    with pytest.raises(InputError) as exc:
+        load_json(path)
+    assert str(exc.value).startswith(f"{path}: malformed JSON ({cause}")
 
 
 def dumps_oracle(obj) -> str:
