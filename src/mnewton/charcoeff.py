@@ -84,22 +84,13 @@ def coeffs_from_spectrum(values) -> np.ndarray:
 
 def _coeffs(vals: np.ndarray) -> np.ndarray:
     """The recurrence of :func:`coeffs_from_spectrum` on each row of a
-    ``(B, n)`` block of validated spectra.
-
-    Root i = a + bi updates every old e_j = c + di, held as a float pair,
-    by (a, a)·(c, d) + (-b, b)·(d, c): the IEEE operations of CPython's
-    complex multiply, which numpy's complex array multiply does not do.
-    """
+    ``(B, n)`` block of validated spectra: root i updates every e_j at once."""
     n = vals.shape[1]
-    e = np.zeros((len(vals), n + 1, 2))
-    e[:, 0, 0] = 1.0
-    re, im = vals.real.T[:, :, None, None], vals.imag.T[:, :, None, None]
-    same, swap = np.concatenate([re, re], axis=3), np.concatenate([-im, im], axis=3)
-    with np.errstate(all="ignore"):     # as on Python floats: no warnings
+    z = np.zeros((len(vals), n + 1), dtype=complex)
+    z[:, 0] = 1.0
+    with np.errstate(all="ignore"):     # overflow leaves inf or NaN, unwarned
         for i in range(n):
-            old = e[:, :i + 1]
-            e[:, 1:i + 2] += same[i] * old + swap[i] * old[:, :, ::-1]
-    z = e.view(complex)[:, :, 0]
+            z[:, 1:i + 2] += vals[:, i:i + 1] * z[:, :i + 1]
     scale = np.fmax(1.0, np.max(np.abs(z), axis=1))
     resid = np.max(np.abs(z.imag), axis=1)
     if np.any(bad := resid > CLOSURE_RTOL * scale):

@@ -11,12 +11,10 @@ builds the perturbed ten-tuple in closed form.
 ``screen_many`` validates each spectrum, then runs each condition kernel
 once per size n on a ``(B, n)`` block with one power-sum table
 s_1..s_max(K, bound, 4); ``screen`` and each public condition function
-are batches of one.  The kernels keep the bits of a per-spectrum scalar
-pass: the power sums are ``V ** k`` summed over the last axis; the
-coefficient recurrence does CPython's complex multiply on float pairs;
-the JLL powers s_k^m are Python float powers (numpy's float64 power
-differs in the last bit) with overflow as +-inf, and the worst slack
-skips NaN and keeps the first (k, m) of a tie.
+are batches of one.  The kernels are numpy array arithmetic, so a row
+gives the same result in any block: overflow leaves +-inf without a
+warning, and the worst JLL slack skips NaN and keeps the first (k, m)
+of a tie.
 """
 
 from __future__ import annotations
@@ -102,21 +100,12 @@ def jll_condition(values, bound: int = DEFAULT_JLL_BOUND,
     return _jll(_power_sums(vals[None], bound), vals.size, bound, tol)[0]
 
 
-def _float_pow(x: float, m: int) -> float:
-    try:
-        return x ** m
-    except OverflowError:   # numpy's scalar power gives +-inf here
-        return math.copysign(math.inf, x) if m % 2 else math.inf
-
-
 def _jll(s: np.ndarray, n: int, bound: int, tol: float) -> list[ConditionResult]:
     pairs = [(k, m) for k in range(1, bound // 2 + 1) for m in range(2, bound // k + 1)]
     k, m = np.array(pairs).T
-    sk = s[:, k - 1]
-    lhs = np.array([_float_pow(x, e) for x, e in zip(sk.ravel().tolist(), m.tolist() * len(s))]
-                   ).reshape(sk.shape)
-    with np.errstate(all="ignore"):     # as on Python floats: no warnings
-        rhs = np.array([float(n) ** (e - 1) for e in m.tolist()]) * s[:, k * m - 1]
+    with np.errstate(all="ignore"):     # overflow leaves +-inf or NaN, unwarned
+        lhs = s[:, k - 1] ** m
+        rhs = float(n) ** (m - 1) * s[:, k * m - 1]
         slack = (rhs - lhs) / np.fmax(np.fmax(1.0, np.abs(lhs)), np.abs(rhs))
     slack[np.isnan(slack)] = math.inf
     worst = np.argmin(slack, axis=1)
@@ -166,9 +155,8 @@ def laffey_meehan_condition(values, tol: float = 1e-9) -> ConditionResult:
 def _laffey_meehan(vals: np.ndarray, s: np.ndarray, tol: float) -> list[ConditionResult]:
     n = vals.shape[1]
     moved = np.abs(s[:, 0]) > tol * np.fmax(1.0, np.sum(np.abs(vals), axis=1))
-    # the C library's pow, as numpy's scalar s_2 ** 2 takes it
-    s2sq = np.array([_float_pow(x, 2) for x in s[:, 1].tolist()])
     with np.errstate(all="ignore"):     # rows that are not applicable warn of nothing
+        s2sq = s[:, 1] ** 2
         s4 = (n - 1) * s[:, 3]
         margin = s4 - s2sq
     ok = margin >= -tol * np.fmax(np.fmax(1.0, np.abs(s4)), s2sq)

@@ -1,10 +1,10 @@
 """Helpers that only the tests use: scalar minors on 1-based index sets,
 batched and exact minors as oracles of the Schur-complement tree,
-brute-force minor sums, polynomial roots by a companion matrix, the
-numpy-scalar coefficient recurrence and conjugate pairing, a bitwise array
-comparison, subset incidence vectors, form eigenvalues through Eberlein
-polynomials, the float64-array form weights, and a made-up ``niep-screen``
-report entry."""
+brute-force and exact minor sums, polynomial roots by a companion matrix,
+exact coefficients of a spectrum, the numpy-scalar conjugate pairing, a
+bitwise array comparison, subset incidence vectors, form eigenvalues
+through Eberlein polynomials, the float64-array form weights, and a
+made-up ``niep-screen`` report entry."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import numpy as np
 from mnewton.charcoeff import CLOSURE_RTOL, ensure_conjugate_closed
 from mnewton.errors import InputError
 from mnewton.forms import _lowest_overlap, _weight
-from mnewton.linalg import as_matrix, binomials, determinant, enumerate_subsets, subset_masks
+from mnewton.linalg import as_matrix, determinant, enumerate_subsets, subset_masks
 
 # brute-force minor enumeration bound (2^n determinants); override allowed.
 EXHAUSTIVE_MINOR_CAP = 16
@@ -130,23 +130,46 @@ def poly_roots(coeffs) -> np.ndarray:
     return roots[np.lexsort((roots.imag, roots.real))]
 
 
-def coeffs_numpy_scalar(values) -> np.ndarray:
-    """Normalized coefficients by the elementary-symmetric recurrence on numpy
-    scalars, the reference that ``coeffs_from_spectrum`` must match bit for bit."""
+def exact_coeffs(values) -> list[Fraction]:
+    """Exact c_0..c_n of a conjugation-closed spectrum (the test oracle).
+
+    The real and imaginary parts are dyadic rationals, so 2^s times each is
+    an integer for some s.  The E_j recurrence runs on these Gaussian
+    integers, and c_j = Re E_j / (2^(s j) C(n, j)).
+    """
     vals = ensure_conjugate_closed(values)
+    parts = [Fraction(x) for v in vals.tolist() for x in (v.real, v.imag)]
+    s = max(f.denominator for f in parts).bit_length() - 1
+    ints = [int(f * 2**s) for f in parts]
     n = vals.size
-    e = np.zeros(n + 1, dtype=complex)
-    e[0] = 1.0
-    for i in range(n):
-        r = vals[i]
-        for j in range(min(i + 1, n), 0, -1):
-            e[j] += r * e[j - 1]
-    scale = max(1.0, float(np.max(np.abs(e))))
-    resid = float(np.max(np.abs(e.imag)))
-    if resid > CLOSURE_RTOL * scale:
-        raise InputError(
-            f"symmetric functions retain imaginary residue {resid:g} beyond tolerance")
-    return e.real / binomials(n)
+    re, im = [1] + [0] * n, [0] * (n + 1)
+    for i, (a, b) in enumerate(zip(ints[::2], ints[1::2])):
+        for j in range(i + 1, 0, -1):
+            re[j], im[j] = (re[j] + a * re[j - 1] - b * im[j - 1],
+                            im[j] + a * im[j - 1] + b * re[j - 1])
+    return [Fraction(x, 2 ** (s * j) * math.comb(n, j)) for j, x in enumerate(re)]
+
+
+def exact_minor_sums(a) -> list[Fraction]:
+    """Exact E_0..E_n of a float matrix: Faddeev-LeVerrier in integers (the test oracle).
+
+    Float entries are dyadic rationals, so B = 2^s A is an integer matrix
+    for some s.  Every step of the trace recursion on B is then an integer,
+    and E_j(A) = E_j(B) / 2^(s j).
+    """
+    fr = [[Fraction(float(x)) for x in row] for row in np.asarray(a, dtype=float)]
+    n = len(fr)
+    s = max(f.denominator for row in fr for f in row).bit_length() - 1
+    b = np.array([[int(f * 2**s) for f in row] for row in fr], dtype=object)
+    eye = np.eye(n, dtype=int).astype(object)
+    e, acc = [1], eye
+    for k in range(1, n + 1):
+        prod = b.dot(acc)
+        c, rem = divmod(-np.trace(prod), k)
+        assert rem == 0
+        e.append((-1) ** k * c)
+        acc = prod + c * eye
+    return [Fraction(x, 2 ** (s * j)) for j, x in enumerate(e)]
 
 
 def conjugate_closed_numpy(values) -> np.ndarray:

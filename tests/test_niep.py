@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -89,6 +90,35 @@ def test_jll_bound_beyond_double_range_is_input_error():
         jll_condition(np.ones(100), bound=200)
     with pytest.raises(InputError, match=r"jll bound 200 .*n = 100"):
         screen(np.ones(100), jll_bound=200)
+
+
+# integer spectra whose power sums s_1..s_26 are exact doubles; JLL fails
+# only on the last
+EXACT_SPECTRA = (LAFFEY_FAIL_FIVE, (4.0, -1.0, -1.0, -1.0, -1.0),   # J - I of order 5
+                 (2.0, -1.0, -1.0), (1.0, 1.0, 1.0, 1.0), (1.0, -2.0))
+
+
+@pytest.mark.parametrize("values", EXACT_SPECTRA)
+def test_jll_and_laffey_meehan_margins_match_exact_slack(values):
+    # the witness is not pinned: ties at round-off may move it
+    eps, tol = np.finfo(float).eps, 1e-9
+    n = len(values)
+    s = [sum(Fraction(v) ** k for v in values) for k in range(27)]
+    for bound in (2, 6, 26):
+        slack = min((n ** (m - 1) * s[k * m] - s[k] ** m)
+                    / max(1, abs(s[k] ** m), abs(n ** (m - 1) * s[k * m]))
+                    for k in range(1, bound // 2 + 1) for m in range(2, bound // k + 1))
+        res = jll_condition(values, bound=bound, tol=tol)
+        assert res.status == (PASS if slack >= -tol else FAIL), (values, bound)
+        assert abs(res.margin - slack) <= 4 * eps, (values, bound)
+    res = laffey_meehan_condition(values, tol=tol)
+    if s[1]:
+        assert res.status == NOT_APPLICABLE
+        return
+    s4, s2sq = (n - 1) * s[4], s[2] ** 2
+    margin = s4 - s2sq
+    assert res.status == (PASS if margin >= -tol * max(1, abs(s4), s2sq) else FAIL), values
+    assert abs(res.margin - margin) <= 4 * eps * max(1, abs(s4), s2sq), values
 
 
 def test_newton_shift_passes_after_shift():
