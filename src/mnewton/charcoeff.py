@@ -112,13 +112,21 @@ def newton_check(c, tol: float = 1e-9) -> NewtonReport:
 
     Each margin is compared against ``-max(tol * max(1, c_j^2), 1e-12)``:
     relative to the local coefficient magnitude, with an absolute floor.
+    A non-finite coefficient or margin (overflow) raises InputError.
     """
     cv = np.asarray(c, dtype=float).ravel()
     if cv.size < 1:
         raise InputError("coefficient vector must be nonempty")
+    if not np.all(np.isfinite(cv)):
+        j = int(np.argmin(np.isfinite(cv)))
+        raise InputError(f"coefficient c_{j} = {float(cv[j])} is not finite")
     if abs(cv[0] - 1.0) > 1e-9:
         raise InputError(f"coefficient vector must be normalized with c_0 = 1, got {cv[0]!r}")
-    margins, holds, worst_j = _newton(cv[None], tol)
+    with np.errstate(all="ignore"):     # overflow is reported below, not warned
+        margins, holds, worst_j = _newton(cv[None], tol)
+    if not np.all(np.isfinite(margins)):
+        j = int(np.argmin(np.isfinite(margins[0]))) + 1
+        raise InputError(f"Newton margin mu_{j} = {float(margins[0, j - 1])} is not finite")
     return NewtonReport(margins[0], bool(holds[0]), worst_j[0])
 
 

@@ -152,8 +152,15 @@ def well_conditioned_transform(n: int, rng: np.random.Generator) -> np.ndarray:
     return (u * s) @ vt
 
 
+def _uniform(rng: np.random.Generator, n: int) -> np.ndarray:
+    try:
+        return rng.uniform(0.0, 1.0, (n, n))
+    except ValueError:      # numpy refuses the shape before allocating
+        raise InputError(f"generator order n = {n} is too large for an n x n array") from None
+
+
 def _random_m(rng: np.random.Generator, n: int, margin: float) -> np.ndarray:
-    b = rng.uniform(0.0, 1.0, (n, n))
+    b = _uniform(rng, n)
     s = (1.0 + margin) * float(np.max(b.sum(axis=1)))
     return s * np.eye(n) - b
 
@@ -167,7 +174,7 @@ def generate(spec: GeneratorSpec) -> np.ndarray:
     if spec.kind == "inverse-M":
         return np.linalg.inv(_random_m(rng, n, spec.margin))
     if spec.kind == "singular-M":
-        b = rng.uniform(0.0, 1.0, (n, n))
+        b = _uniform(rng, n)
         # B >= 0, so rho(B) is an eigenvalue and bounds every real part (Perron-Frobenius)
         return float(np.max(np.linalg.eigvals(b).real)) * np.eye(n) - b
     m = _random_m(rng, n, spec.margin)

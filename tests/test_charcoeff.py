@@ -191,6 +191,20 @@ def test_newton_check_validates_normalization():
         newton_check([])
 
 
+@pytest.mark.parametrize("c", [[math.nan, 1.0, 1.0], [1.0, math.inf, 1.0],
+                               [1.0, 1.0, -math.inf], [1.0, 1e200, 1.0],
+                               [1.0, 1e300, 1e300, 1.0]])
+def test_newton_check_rejects_non_finite_coefficients_and_margins(c):
+    # an overflowed coefficient or margin gives no verdict
+    with pytest.raises(InputError, match="is not finite"):
+        newton_check(c)
+
+
+def test_newton_check_rejects_an_overflowed_spectrum():
+    with pytest.raises(InputError, match=r"c_2 = inf is not finite"):
+        newton_check(coeffs_from_spectrum([1e200, 1e200, 1e200]))
+
+
 def test_newton_check_trivial_sizes():
     rep = newton_check([1.0, 3.0])
     assert rep.holds and rep.worst_j is None and rep.margins.size == 0

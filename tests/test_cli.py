@@ -396,6 +396,21 @@ def test_gen_requires_spec_or_flags(capsys):
     assert "seed" in err
 
 
+def test_gen_order_numpy_refuses_exits_two(capsys):
+    code, out, err = run(capsys, ["gen", "--kind", "M", "--n", "100000000000000000000",
+                                  "--seed", "1"])
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: generator order n = 100000000000000000000 is too large " \
+                  "for an n x n array\n"
+
+
+def test_newton_overflowed_spectrum_exits_two(capsys, tmp_path):
+    spec = write_json(tmp_path / "big.json", {"values": [1e200, 1e200, 1e200]})
+    code, out, err = run(capsys, ["newton", "--spectrum", spec])
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: coefficient c_2 = inf is not finite\n"
+
+
 def test_malformed_json_exits_two(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{oops")

@@ -51,6 +51,7 @@ CASES = {
     "newton-spectrum-fail-text": ["newton", "--spectrum", "inputs/spec_fail3.json",
                                   "--format", "text"],
     "newton-spectrum-one": ["newton", "--spectrum", "inputs/spec_one.json"],
+    "newton-spectrum-overflow": ["newton", "--spectrum", "inputs/spec_overflow3.json"],
     "newton-bad-tol": ["newton", "--input", "inputs/m5.json", "--tol", "-1"],
     "newton-tol-inf": ["newton", "--input", "inputs/m5.json", "--tol", "inf"],
     "sfunc-m5": ["sfunc", "--input", "inputs/m5.json"],

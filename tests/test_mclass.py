@@ -6,6 +6,7 @@ import pytest
 from mnewton.errors import InputError
 from mnewton.linalg import determinant
 from mnewton.mclass import (
+    GENERATOR_KINDS,
     M_NONSINGULAR,
     M_SINGULAR,
     NOT_M,
@@ -237,6 +238,14 @@ def test_generator_spec_rejects_negative_seed(seed):
 def test_generator_spec_rejects_non_finite_margin(margin):
     with pytest.raises(InputError, match="margin must be positive and finite"):
         GeneratorSpec("M", 3, 1, margin=margin)
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+@pytest.mark.parametrize("n", [2**40, 10**20])
+def test_generate_order_numpy_refuses_is_input_error(kind, n):
+    # numpy refuses both n x n shapes before it allocates anything
+    with pytest.raises(InputError, match=f"order n = {n} is too large"):
+        generate(GeneratorSpec(kind, n, 1))
 
 
 def test_dual_minor_identity_examples():
