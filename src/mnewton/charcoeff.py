@@ -121,7 +121,7 @@ def newton_check(c, tol: float = 1e-9) -> NewtonReport:
         j = int(np.argmin(np.isfinite(cv)))
         raise InputError(f"coefficient c_{j} = {float(cv[j])} is not finite")
     if abs(cv[0] - 1.0) > 1e-9:
-        raise InputError(f"coefficient vector must be normalized with c_0 = 1, got {cv[0]!r}")
+        raise InputError(f"coefficient vector must be normalized with c_0 = 1, got {float(cv[0])}")
     with np.errstate(all="ignore"):     # overflow is reported below, not warned
         margins, holds, worst_j = _newton(cv[None], tol)
     if not np.all(np.isfinite(margins)):

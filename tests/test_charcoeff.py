@@ -53,13 +53,10 @@ def test_coeffs_from_spectrum_requires_closure():
         coeffs_from_spectrum([1j, 1j, -1j])  # multiplicities must pair up too
 
 
-# worst relative error of a nonzero c_j over these spectra: 2.1e-15 (singular-M)
-COEFF_REL_ERR = 4e-15
-
-
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
 def test_coeffs_from_spectrum_bit_identical_to_numpy_scalar_loop(kind):
-    # now an accuracy bound against the exact coefficients of the same spectrum
+    # an accuracy bound against the exact coefficients of the same spectrum;
+    # the worst relative error of a nonzero c_j here is 2.1e-15 (singular-M)
     for n in (1, 2, 3, 4, 5, 7, 10, 12, 16, 24, 33, 48, 64):
         for seed in range(2):
             vals = np.linalg.eigvals(generate(GeneratorSpec(kind, n, seed)))
@@ -67,7 +64,7 @@ def test_coeffs_from_spectrum_bit_identical_to_numpy_scalar_loop(kind):
             for j, (g, want) in enumerate(zip(got.tolist(), exact_coeffs(vals))):
                 if want:
                     rel = abs(Fraction(g) - want) / abs(want)
-                    assert rel <= COEFF_REL_ERR, (kind, n, seed, j, float(rel))
+                    assert rel <= 4e-15, (kind, n, seed, j, float(rel))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -198,6 +195,11 @@ def test_newton_check_rejects_non_finite_coefficients_and_margins(c):
     # an overflowed coefficient or margin gives no verdict
     with pytest.raises(InputError, match="is not finite"):
         newton_check(c)
+
+
+def test_newton_check_names_c0_as_a_plain_float():
+    with pytest.raises(InputError, match=r"c_0 = 1, got 2\.0$"):
+        newton_check(np.array([2.0, 1.0, 1.0]))
 
 
 def test_newton_check_rejects_an_overflowed_spectrum():
