@@ -19,10 +19,9 @@ _EXPORTS = {
              "structure_checks",
     "linalg": "determinant enumerate_subsets principal_minors_all",
     "mclass": "GeneratorSpec MatrixClassReport classify dual_minor_identity_check generate",
-    "niep": "ScreeningReport construct_perturbed jll_condition laffey_meehan_condition "
-            "moment_condition moments newton_shift_condition screen screen_many",
+    "niep": "ScreeningReport construct_perturbed moments screen screen_many",
     "pairsums": "MinorPairSums expansion_identity_check feasible_ratio_params "
-                "identity_pair_count minor_pair_sum pointwise_check ratio_check",
+                "identity_pair_count pointwise_check ratio_check",
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
 _SUBMODULES = (*_EXPORTS, "cli", "defaults", "serialize")

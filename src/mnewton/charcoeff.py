@@ -117,9 +117,7 @@ def newton_check(c, tol: float = 1e-9) -> NewtonReport:
     cv = np.asarray(c, dtype=float).ravel()
     if cv.size < 1:
         raise InputError("coefficient vector must be nonempty")
-    if not np.all(np.isfinite(cv)):
-        j = int(np.argmin(np.isfinite(cv)))
-        raise InputError(f"coefficient c_{j} = {float(cv[j])} is not finite")
+    _require_finite(cv)
     if abs(cv[0] - 1.0) > 1e-9:
         raise InputError(f"coefficient vector must be normalized with c_0 = 1, got {float(cv[0])}")
     with np.errstate(all="ignore"):     # overflow is reported below, not warned
@@ -128,6 +126,13 @@ def newton_check(c, tol: float = 1e-9) -> NewtonReport:
         j = int(np.argmin(np.isfinite(margins[0]))) + 1
         raise InputError(f"Newton margin mu_{j} = {float(margins[0, j - 1])} is not finite")
     return NewtonReport(margins[0], bool(holds[0]), worst_j[0])
+
+
+def _require_finite(c: np.ndarray) -> None:
+    """Raise an InputError naming the first coefficient that overflowed to inf or NaN."""
+    if not np.all(np.isfinite(c)):
+        j = int(np.argmin(np.isfinite(c)))
+        raise InputError(f"coefficient c_{j} = {float(c[j])} is not finite")
 
 
 def _newton(c: np.ndarray, tol: float):

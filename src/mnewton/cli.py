@@ -112,9 +112,10 @@ def _coeffs_from_args(args):
     from . import charcoeff
     if (args.input is None) == (args.spectrum is None):
         raise InputError("provide exactly one of --input or --spectrum")
-    if args.input is not None:
-        return charcoeff.normalized_coeffs(_load_matrix(args.input))
-    return charcoeff.coeffs_from_spectrum(_load_spectrum(args.spectrum))
+    c = (charcoeff.normalized_coeffs(_load_matrix(args.input)) if args.input is not None
+         else charcoeff.coeffs_from_spectrum(_load_spectrum(args.spectrum)))
+    charcoeff._require_finite(c)    # inf has no JSON spelling and gives no verdict
+    return c
 
 
 def _cmd_coeffs(args):

@@ -17,8 +17,8 @@ the identity sum are Python floats, ints and Fractions, the same bits as
 float64 arrays would give, so none of them imports numpy.  Dense entries
 exist only for export, quadratic evaluation and test oracles.  They are
 laid out by one capped list of colex bitmasks; the exports read it as
-Python ints, and only the dense routes (``entries``, ``overlap_matrix``,
-``quadratic_apply``) import numpy.
+Python ints, and only the dense routes (``entries``, ``quadratic_apply``)
+import numpy.
 """
 
 from __future__ import annotations
@@ -114,22 +114,12 @@ class FormMatrix:
     @property
     def entries(self):
         """Dense C(n,m) x C(n,m) symmetric ndarray, built on each access (capped)."""
+        # Calls no public function: the span tracer in bench/tracing.py reads
+        # entries from a count hook that holds the tracer's non-reentrant lock,
+        # so a traced call from there deadlocks.
         import numpy as np
-        return np.array(self.weights)[_overlaps(self.n, self.m)]
-
-
-def overlap_matrix(n: int, m: int):
-    """Integer ndarray of pairwise subset intersection sizes, colex order."""
-    return _overlaps(n, m)
-
-
-def _overlaps(n: int, m: int):
-    # Calls no public function: the span tracer in bench/tracing.py reads
-    # entries from a count hook that holds the tracer's non-reentrant lock,
-    # so a traced call from there deadlocks.
-    import numpy as np
-    masks = np.array(_dense_masks(n, m), dtype=np.uint64)
-    return np.bitwise_count(masks[:, None] & masks[None, :]).astype(np.int64)
+        masks = np.array(_dense_masks(self.n, self.m), dtype=np.uint64)
+        return np.array(self.weights)[np.bitwise_count(masks[:, None] & masks[None, :])]
 
 
 def _dense_masks(n: int, m: int) -> list[int]:

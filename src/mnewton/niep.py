@@ -10,11 +10,11 @@ builds the perturbed ten-tuple in closed form.
 
 ``screen_many`` validates each spectrum, then runs each condition kernel
 once per size n on a ``(B, n)`` block with one power-sum table
-s_1..s_max(K, bound, 4); ``screen`` and each public condition function
-are batches of one.  The kernels are numpy array arithmetic, so a row
-gives the same result in any block: overflow leaves +-inf without a
-warning, and the worst JLL slack skips NaN and keeps the first (k, m)
-of a tie.
+s_1..s_max(K, bound, 4); ``screen`` is a batch of one, and a single
+condition is ``screen(...).conditions[name]``.  The kernels are numpy
+array arithmetic, so a row gives the same result in any block: overflow
+leaves +-inf without a warning, and the worst JLL slack skips NaN and
+keeps the first (k, m) of a tie.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def _check_moment_k(k_max: int) -> None:
         raise InputError("moment order K must be >= 1")
 
 
-def _check_jll_bound(bound: int, n: int = 1) -> None:
+def _check_jll_bound(bound: int, n: int) -> None:
     if bound < 2:
         raise InputError("jll bound must be >= 2")
     try:
@@ -72,12 +72,6 @@ class ConditionResult:
     note: str = ""
 
 
-def moment_condition(values, k_max: int = DEFAULT_MOMENT_K,
-                     tol: float = 1e-9) -> ConditionResult:
-    """All power sums up to k_max must be nonnegative; margin is the smallest."""
-    return _moment(moments(values, k_max)[None], k_max, tol)[0]
-
-
 def _moment(s: np.ndarray, k_max: int, tol: float) -> list[ConditionResult]:
     s = s[:, :k_max]
     worst = np.argmin(s, axis=1)
@@ -88,19 +82,8 @@ def _moment(s: np.ndarray, k_max: int, tol: float) -> list[ConditionResult]:
             for p, m, w in zip(ok.tolist(), margin.tolist(), worst.tolist())]
 
 
-def jll_condition(values, bound: int = DEFAULT_JLL_BOUND,
-                  tol: float = 1e-9) -> ConditionResult:
-    """s_k^m <= n^(m-1) s_{km} over all k >= 1, m >= 2 with k*m <= bound.
-
-    Margin is the most negative normalized slack; witness is its (k, m).
-    """
-    _check_jll_bound(bound)
-    vals = ensure_conjugate_closed(values)
-    _check_jll_bound(bound, vals.size)
-    return _jll(_power_sums(vals[None], bound), vals.size, bound, tol)[0]
-
-
 def _jll(s: np.ndarray, n: int, bound: int, tol: float) -> list[ConditionResult]:
+    """Margin is the most negative normalized slack over k*m <= bound; witness is its (k, m)."""
     pairs = [(k, m) for k in range(1, bound // 2 + 1) for m in range(2, bound // k + 1)]
     k, m = np.array(pairs).T
     with np.errstate(all="ignore"):     # overflow leaves +-inf or NaN, unwarned
@@ -116,18 +99,10 @@ def _jll(s: np.ndarray, n: int, bound: int, tol: float) -> list[ConditionResult]
             for g, w in zip(margin.tolist(), worst.tolist())]
 
 
-def newton_shift_condition(values, tol: float = 1e-9) -> ConditionResult:
-    """Newton inequalities of the tuple shifted by its dominant element.
-
-    The maximum-modulus element must be real and nonnegative within
-    tolerance (a Perron candidate); ties are broken in favor of a real
-    nonnegative representative, and a spectrum with no such candidate is
-    unrealizable outright, so the condition reports not-applicable.
-    """
-    return _newton_shift(ensure_conjugate_closed(values)[None], tol)[0]
-
-
 def _newton_shift(vals: np.ndarray, tol: float) -> list[ConditionResult]:
+    """Shift by a Perron candidate: a maximum-modulus element, real and nonnegative
+    within tolerance (the first when several tie).  A spectrum with none is
+    unrealizable outright, so the condition reports not-applicable."""
     mod = np.abs(vals)
     maxmod = np.max(mod, axis=1, keepdims=True)
     scale = np.fmax(1.0, maxmod)
@@ -144,12 +119,6 @@ def _newton_shift(vals: np.ndarray, tol: float) -> list[ConditionResult]:
         out[r] = ConditionResult(PASS if ok else FAIL, mu, witness=j,
                                  note=f"shift by {lam:.12g}")
     return out
-
-
-def laffey_meehan_condition(values, tol: float = 1e-9) -> ConditionResult:
-    """(n-1) s_4 >= s_2^2, applicable only to odd n with vanishing first moment."""
-    vals = ensure_conjugate_closed(values)[None]
-    return _laffey_meehan(vals, _power_sums(vals, 4), tol)[0]
 
 
 def _laffey_meehan(vals: np.ndarray, s: np.ndarray, tol: float) -> list[ConditionResult]:
@@ -178,11 +147,8 @@ class ScreeningReport:
 
 def screen(values, moment_k: int = DEFAULT_MOMENT_K,
            jll_bound: int = DEFAULT_JLL_BOUND, tol: float = 1e-9) -> ScreeningReport:
-    """Run all four conditions with shared tolerances on one spectrum.
-
-    A batch of one for :func:`screen_many`: every condition gives the same
-    result as its public function.
-    """
+    """Run all four conditions with shared tolerances on one spectrum, as a
+    batch of one for :func:`screen_many`."""
     return screen_many([values], moment_k, jll_bound, tol)[0]
 
 

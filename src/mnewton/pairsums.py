@@ -82,10 +82,6 @@ class MinorPairSums:
         """All 2^n principal minors, indexed by bitmask (built on first use)."""
         return principal_minors_by_mask(self.matrix)
 
-    def minors(self, m: int) -> np.ndarray:
-        """The size-m principal minors in colex order (increasing-mask order)."""
-        return self._minors[self._sizes == m]
-
     def _up_sums(self, m: int) -> np.ndarray:
         """U(g) = sum of the size-m minors over the supersets of g, at every mask g."""
         if m not in self._ups:
@@ -125,11 +121,6 @@ class MinorPairSums:
         if not feasible_pair_params(self.n, m1, m2, k):
             return 0.0
         return float(self.profile(m1, m2)[k])
-
-
-def minor_pair_sum(a, m1: int, m2: int, k: int, override_cap: bool = False) -> float:
-    """Sum of A[alpha] A[beta] over ordered pairs of sizes (m1, m2) with overlap k."""
-    return MinorPairSums(a, override_cap=override_cap).value(m1, m2, k)
 
 
 @dataclass(frozen=True)

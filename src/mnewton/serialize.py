@@ -10,7 +10,8 @@ The form exports read the colex bitmasks as Python ints, one bit count per
 entry, so they import no numpy.  The CSV export is the ``csv.writer``
 default dialect without the writer: cells are repr floats, which never
 need quoting, joined by commas, and every row ends in ``\r\n``.  Matrix
-and spectrum records import numpy when they are read or written.
+records import numpy when they are read or written, spectrum records
+(input only) when they are read.
 
 Reports are plain JSON values (str-keyed dicts, lists, tuples, str, int,
 float, bool, None), as the ``cli`` handlers build them; ``write_report``
@@ -111,12 +112,6 @@ def spectrum_from_dict(d):
         else:
             out.append(complex(_as_real(v, "values[{}]", i), 0.0))
     return np.array(out, dtype=complex)
-
-
-def spectrum_to_dict(values) -> dict:
-    import numpy as np
-    vals = np.asarray(values, dtype=complex).ravel()
-    return {"values": [[float(v.real), float(v.imag)] for v in vals]}
 
 
 def generator_spec_from_dict(d):

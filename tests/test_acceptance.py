@@ -17,11 +17,7 @@ from mnewton.linalg import binomials, subset_masks
 from mnewton.mclass import GeneratorSpec, generate
 from mnewton.niep import (
     construct_perturbed,
-    jll_condition,
-    laffey_meehan_condition,
-    moment_condition,
     moments,
-    newton_shift_condition,
     screen,
 )
 from mnewton.pairsums import (
@@ -29,7 +25,6 @@ from mnewton.pairsums import (
     expansion_identity_check,
     feasible_ratio_params,
     identity_pair_count,
-    minor_pair_sum,
     pointwise_check,
     ratio_check,
 )
@@ -159,7 +154,7 @@ def test_criterion_07_counterexample_regressions():
 
     roots = poly_roots([1.0, -6.0, 14.0, -20.0, 0.0, 0.0, 0.0])
     lam1 = max(z.real for z in roots)
-    res = newton_shift_condition(lam1 - roots)
+    res = screen(lam1 - roots).conditions["newton_shift"]
     if res.status != "fail" or res.witness != 2:
         failures.append(("six-tuple status", res.status, res.witness))
     if abs(res.margin - ((14.0 / 15.0) ** 2 - 1.0)) > 1e-9:
@@ -170,7 +165,7 @@ def test_criterion_07_counterexample_regressions():
     s4 = sum(v ** 4 for v in (3, 3, -2, -2, -2))
     if 4 * s4 - s2 ** 2 != -60:
         failures.append(("integer margin", 4 * s4 - s2 ** 2))
-    res = laffey_meehan_condition([3.0, 3.0, -2.0, -2.0, -2.0])
+    res = screen([3.0, 3.0, -2.0, -2.0, -2.0]).conditions["laffey_meehan"]
     if res.status != "fail" or res.margin != -60.0:
         failures.append(("laffey-meehan", res.status, res.margin))
 
@@ -190,9 +185,8 @@ def test_criterion_08_perturbed_ten_tuple_profile():
     t0 = time.time()
     tup = construct_perturbed(1e-3)
     s = moments(tup, 20)
-    jll = jll_condition(tup)
-    shift = newton_shift_condition(tup)
-    mom = moment_condition(tup, k_max=20)
+    rep = screen(tup, moment_k=20)
+    jll, shift, mom = (rep.conditions[c] for c in ("jll", "newton_shift", "moments"))
     elapsed = time.time() - t0
     failures = []
     if not s[0] > 0.0:
@@ -264,7 +258,7 @@ def test_criterion_10_duality_and_averaging():
             acc = 0.0
             for drop in range(n):
                 keep = [i for i in range(n) if i != drop]
-                acc += (minor_pair_sum(a[np.ix_(keep, keep)], m, m, k)
+                acc += (MinorPairSums(a[np.ix_(keep, keep)]).value(m, m, k)
                         / identity_pair_count(n - 1, m, m, k))
             if abs(lhs - acc / n) > 1e-7 * max(1.0, abs(lhs)):
                 failures.append(("averaging", seed, m, k, lhs, acc / n))

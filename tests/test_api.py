@@ -5,6 +5,7 @@ from pathlib import Path
 import mnewton
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(mnewton.__file__).resolve().parent
 
 
 def test_all_resolves_and_matches_package_imports():
@@ -17,6 +18,26 @@ def test_all_resolves_and_matches_package_imports():
             obj = getattr(module, name)
             assert obj.__module__ == module.__name__, name      # defined there, not re-imported
             assert getattr(mnewton, name) is obj, name
+
+
+def test_every_public_name_is_exported_or_used_in_src():
+    # a public module-level function or class that nothing exports or uses is
+    # dead code; a use is a name in the code, not in a docstring
+    defined, used = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined += [f"{path.stem}.{node.name}" for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    assert [name for name in defined
+            if name.split(".")[1] not in {*mnewton.__all__, *used}] == []
 
 
 def test_package_names_are_read_from_their_module_on_each_access(monkeypatch):

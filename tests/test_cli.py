@@ -411,6 +411,14 @@ def test_newton_overflowed_spectrum_exits_two(capsys, tmp_path):
     assert err == "error: coefficient c_2 = inf is not finite\n"
 
 
+def test_coeffs_overflowed_spectrum_exits_two(capsys, tmp_path):
+    # inf has no JSON spelling, so coeffs stops where newton does
+    spec = write_json(tmp_path / "big.json", {"values": [1e200, 1e200, 1e200]})
+    code, out, err = run(capsys, ["coeffs", "--spectrum", spec])
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: coefficient c_2 = inf is not finite\n"
+
+
 def test_malformed_json_exits_two(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{oops")

@@ -17,7 +17,6 @@ from mnewton.forms import (
     _weight,
     binomial_identity_sum,
     build_form,
-    overlap_matrix,
     psd_check,
     quadratic_apply,
     structure_checks,
@@ -51,7 +50,8 @@ def test_build_form_tilde_phi_3_2():
 def test_build_form_entries_depend_only_on_overlap():
     for kind in FORM_KINDS:
         f = build_form(5, 2, kind)
-        j = overlap_matrix(5, 2)
+        v = incidence_matrix(5, 2)
+        j = v @ v.T
         for val in np.unique(j):
             cell = f.entries[j == val]
             assert np.all(cell == cell[0])
@@ -72,9 +72,8 @@ def test_dense_builder_caps_every_dense_route(tmp_path):
     # C(15,6) = 5005 is just over the cap; the form itself and its checks are uncapped
     f = build_form(15, 6, "psi")
     assert psd_check(f)[0] and structure_checks(15, 6).ok
-    for dense in (lambda: f.entries, lambda: overlap_matrix(15, 6),
-                  lambda: quadratic_apply(f, np.ones(f.dim)), lambda: form_to_dict(f),
-                  lambda: form_to_csv(f, tmp_path / "f.csv")):
+    for dense in (lambda: f.entries, lambda: quadratic_apply(f, np.ones(f.dim)),
+                  lambda: form_to_dict(f), lambda: form_to_csv(f, tmp_path / "f.csv")):
         with pytest.raises(InputError, match=r"exceeds cap 5000 .*n <= 64"):
             dense()
     assert not (tmp_path / "f.csv").exists()
@@ -237,10 +236,9 @@ def test_structure_checks_uncapped():
 
 def _dense_structure(n, m, tol=1e-10):
     """Entrywise structure relations on the dense matrices (the reference route)."""
-    j = overlap_matrix(n, m)
     v = incidence_matrix(n, m)
     phi, tilde_phi, tilde_psi, psi = (build_form(n, m, kind).entries for kind in FORM_KINDS)
-    gramian_exact = bool(np.array_equal(v @ v.T, j)) and bool(np.array_equal(v @ v.T, phi))
+    gramian_exact = bool(np.array_equal(v @ v.T, phi))
     complement_exact = bool(np.array_equal(tilde_phi + phi, float(m + 1) * np.ones_like(phi)))
     reciprocal_max_dev = float(np.max(np.abs(tilde_psi - 1.0 / tilde_phi)))
     affine = (m + 1) * (n - m + 1) * tilde_psi - (n + 1) * np.ones_like(psi)
@@ -268,7 +266,7 @@ def test_incidence_gramian_is_overlap_matrix():
     for n in range(1, 9):
         for m in range(n + 1):
             v = incidence_matrix(n, m)
-            assert np.array_equal(v @ v.T, overlap_matrix(n, m)), (n, m)
+            assert np.array_equal(v @ v.T, FormMatrix(n, m, "phi").entries), (n, m)
 
 
 def test_incidence_rows_are_colex_indicators():

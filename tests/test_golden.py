@@ -43,6 +43,7 @@ CASES = {
     "coeffs-both-sources": ["coeffs", "--input", "inputs/diag3.json",
                             "--spectrum", "inputs/spec_real4.json"],
     "coeffs-no-source": ["coeffs"],
+    "coeffs-spectrum-overflow": ["coeffs", "--spectrum", "inputs/spec_overflow3.json"],
     "newton-m5": ["newton", "--input", "inputs/m5.json"],
     "newton-m5-text": ["newton", "--input", "inputs/m5.json", "--format", "text"],
     "newton-invm4": ["newton", "--input", "inputs/invm4.json"],

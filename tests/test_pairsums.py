@@ -15,16 +15,16 @@ from mnewton.pairsums import (
     feasible_pair_params,
     feasible_ratio_params,
     identity_pair_count,
-    minor_pair_sum,
     pointwise_check,
     ratio_check,
 )
 
 
-def dense_profile(sums, m1, m2):
-    """Oracle: every (alpha, beta) subset pair, reduced in bitmask blocks by overlap."""
-    va, vb = sums.minors(m1), sums.minors(m2)
-    ma, mb = subset_masks(sums.n, m1), subset_masks(sums.n, m2)
+def dense_profile(minors, m1, m2):
+    """Oracle: every (alpha, beta) subset pair, reduced in bitmask blocks by overlap;
+    ``minors[m]`` holds the size-m principal minors in colex order."""
+    va, vb = minors[m1], minors[m2]
+    ma, mb = subset_masks(len(minors) - 1, m1), subset_masks(len(minors) - 1, m2)
     out = np.zeros(min(m1, m2) + 1)
     step = max(1, (1 << 16) // vb.size)
     for lo in range(0, va.size, step):
@@ -34,11 +34,11 @@ def dense_profile(sums, m1, m2):
     return out
 
 
-def exact_profile(sums, m1, m2):
+def exact_profile(minors, m1, m2):
     """Oracle: the overlap profile of the float minors, summed in exact rationals."""
-    va = [Fraction(float(x)) for x in sums.minors(m1)]
-    vb = [Fraction(float(y)) for y in sums.minors(m2)]
-    ma, mb = subset_masks(sums.n, m1), subset_masks(sums.n, m2)
+    va = [Fraction(float(x)) for x in minors[m1]]
+    vb = [Fraction(float(y)) for y in minors[m2]]
+    ma, mb = subset_masks(len(minors) - 1, m1), subset_masks(len(minors) - 1, m2)
     out = [Fraction(0)] * (min(m1, m2) + 1)
     for x, a in zip(va, ma):
         for y, b in zip(vb, mb):
@@ -64,15 +64,15 @@ def brute_force_pair_count(n, m1, m2, k):
 
 
 def test_pair_sum_identity_examples():
-    assert minor_pair_sum(np.eye(2), 1, 1, 0) == 2.0
-    assert minor_pair_sum(np.eye(2), 1, 1, 1) == 2.0
-    assert minor_pair_sum(np.diag([1.0, 2.0]), 1, 1, 0) == 4.0
+    assert MinorPairSums(np.eye(2)).value(1, 1, 0) == 2.0
+    assert MinorPairSums(np.eye(2)).value(1, 1, 1) == 2.0
+    assert MinorPairSums(np.diag([1.0, 2.0])).value(1, 1, 0) == 4.0
 
 
 def test_pair_sum_infeasible_is_zero():
-    assert minor_pair_sum(np.eye(3), 2, 2, 0) == 0.0  # needs 4 distinct elements
-    assert minor_pair_sum(np.eye(3), 4, 1, 0) == 0.0
-    assert minor_pair_sum(np.eye(3), 1, 1, 2) == 0.0
+    assert MinorPairSums(np.eye(3)).value(2, 2, 0) == 0.0  # needs 4 distinct elements
+    assert MinorPairSums(np.eye(3)).value(4, 1, 0) == 0.0
+    assert MinorPairSums(np.eye(3)).value(1, 1, 2) == 0.0
 
 
 def test_pair_sum_order_cap():
@@ -267,7 +267,7 @@ def test_averaging_identity_over_submatrices():
             for drop in range(n):
                 keep = [i for i in range(n) if i != drop]
                 sub = a[np.ix_(keep, keep)]
-                acc += (minor_pair_sum(sub, m, m, k)
+                acc += (MinorPairSums(sub).value(m, m, k)
                         / identity_pair_count(n - 1, m, m, k))
             assert lhs == pytest.approx(acc / n, rel=1e-9, abs=1e-12)
 
@@ -285,17 +285,14 @@ def test_profile_matches_dense_route():
     # binomial inversion amplifies that by up to ~3^m.  Measured at these
     # inputs: 6.6e-15 * sum|x| sum|y| absolute, and 4.4e-13 relative per
     # entry for M and inverse-M (positive minors, so every P_k > 0).
-    # minors(m) is the popcount-m slice of the cached up-sums, where the
-    # transform adds only zeros, so it must equal the batched minors exactly.
     for n in range(1, 13):
         for kind, a in oracle_matrices(n, 40 + n).items():
             sums = MinorPairSums(a)
+            minors = [principal_minors_all(a, m) for m in range(n + 1)]
             for m1 in range(n + 1):
-                assert np.array_equal(sums.minors(m1), principal_minors_all(a, m1)), \
-                    (kind, n, m1)
                 for m2 in range(n + 1):
-                    got, ref = sums.profile(m1, m2), dense_profile(sums, m1, m2)
-                    scale = np.abs(sums.minors(m1)).sum() * np.abs(sums.minors(m2)).sum()
+                    got, ref = sums.profile(m1, m2), dense_profile(minors, m1, m2)
+                    scale = np.abs(minors[m1]).sum() * np.abs(minors[m2]).sum()
                     assert np.all(np.abs(got - ref) <= 1e-13 * scale), (kind, n, m1, m2)
                     if kind != "signed":
                         assert np.all(np.abs(got - ref) <= 1e-11 * np.abs(ref)), \
@@ -308,11 +305,12 @@ def test_profile_matches_exact_enumeration():
     for n in range(1, 8):
         for kind, a in oracle_matrices(n, 70 + n).items():
             sums = MinorPairSums(a)
+            minors = [principal_minors_all(a, m) for m in range(n + 1)]
             for m1 in range(n + 1):
                 for m2 in range(n + 1):
-                    bound = Fraction(16 * np.finfo(float).eps * np.abs(sums.minors(m1)).sum()
-                                     * np.abs(sums.minors(m2)).sum())
-                    for got, exact in zip(sums.profile(m1, m2), exact_profile(sums, m1, m2)):
+                    bound = Fraction(16 * np.finfo(float).eps * np.abs(minors[m1]).sum()
+                                     * np.abs(minors[m2]).sum())
+                    for got, exact in zip(sums.profile(m1, m2), exact_profile(minors, m1, m2)):
                         assert abs(Fraction(float(got)) - exact) <= bound, \
                             (kind, n, m1, m2)
 
@@ -349,6 +347,15 @@ def test_split_checks_fail_scaled_violator(s):
     a = s * np.array([[1.0, 1.0], [-1.0, 1.0]])
     assert not ratio_check(a, 1, 0).holds
     assert not pointwise_check(a, 1, 0).holds
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: minor products underflow to 0, which holds")
+def test_split_verdicts_survive_underflow():
+    # both sides have degree 2m, so s*A has the verdict of A at every scale
+    for s in (1.0, 1e-150, 1e-170):
+        a = s * np.array([[1.0, 1.0], [-1.0, 1.0]])
+        assert not ratio_check(a, 1, 0).holds, s
+        assert not pointwise_check(a, 1, 0).holds, s
 
 
 def test_split_verdicts_invariant_under_scaling():
