@@ -20,7 +20,7 @@ _EXPORTS = {
     "linalg": "determinant enumerate_subsets principal_minors_all",
     "mclass": "GeneratorSpec MatrixClassReport classify dual_minor_identity_check generate",
     "niep": "ScreeningReport construct_perturbed moments screen screen_many",
-    "pairsums": "MinorPairSums expansion_identity_check feasible_ratio_params "
+    "pairsums": "MinorPairSums SplitReport expansion_identity_check feasible_ratio_params "
                 "identity_pair_count pointwise_check ratio_check",
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import forms, serialize
-from .defaults import DEFAULT_JLL_BOUND, DEFAULT_MOMENT_K, GENERATOR_KINDS
+from .defaults import DEFAULT_JLL_BOUND, DEFAULT_MARGIN, DEFAULT_MOMENT_K, GENERATOR_KINDS
 from .errors import InputError
 
 EXIT_OK = 0
@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     ge.add_argument("--kind", choices=GENERATOR_KINDS)
     ge.add_argument("--n", type=int)
     ge.add_argument("--seed", type=int)
-    ge.add_argument("--margin", type=float, default=0.1)
+    ge.add_argument("--margin", type=float, default=DEFAULT_MARGIN)
     return p
 
 
@@ -143,21 +143,16 @@ def _cmd_sfunc(args):
     n = sums.n
     if args.k is not None and args.m is None:
         raise InputError("flag --k requires --m")
-    if args.m is not None:
-        if args.k is not None:
-            params = [(args.m, args.k)]
-        else:
-            params = [(m, k) for m, k in pairsums.feasible_ratio_params(n)
-                      if m == args.m]
-    else:
-        params = pairsums.feasible_ratio_params(n)
+    params = ([(args.m, args.k)] if args.k is not None
+              else [(m, k) for m, k in pairsums.feasible_ratio_params(n)
+                    if args.m in (None, m)])
     if not params:
         raise InputError(f"no feasible (m, k) parameters for n = {n}")
     checks = []
     worst = None
     for m, k in params:
-        ratio = pairsums.ratio_check(a, m, k, tol=args.tol, sums=sums)
-        point = pairsums.pointwise_check(a, m, k, tol=args.tol, sums=sums)
+        ratio = pairsums.ratio_check(sums, m, k, args.tol)
+        point = pairsums.pointwise_check(sums, m, k, args.tol)
         checks.append({
             "m": m, "k": k,
             "ratio_margin": ratio.margin, "ratio_holds": ratio.holds,

@@ -10,11 +10,11 @@ reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import GENERATOR_KINDS
+from .defaults import DEFAULT_MARGIN, GENERATOR_KINDS
 from .errors import InputError
 from .linalg import as_matrix, determinant, principal_minors_by_mask
 
@@ -36,8 +36,8 @@ class MatrixClassReport:
     is_p: bool | None            # None: not evaluated (n too large for the oracle)
     m_class: str                 # M_NONSINGULAR | M_SINGULAR | NOT_M
     is_inverse_m: bool
-    witnesses: list = field(default_factory=list)      # (alpha, minor) sign violations
-    z_violations: list = field(default_factory=list)   # ((i, j), entry) positive off-diagonals
+    witnesses: list          # (alpha, minor) sign violations
+    z_violations: list       # ((i, j), entry) positive off-diagonals
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class GeneratorSpec:
     kind: str
     n: int
     seed: int
-    margin: float = 0.1
+    margin: float = DEFAULT_MARGIN
 
     def __post_init__(self):
         if self.kind not in GENERATOR_KINDS:

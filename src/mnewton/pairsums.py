@@ -4,6 +4,10 @@ The central quantity is ``sum A[alpha] * A[beta]`` over *ordered* pairs of
 index sets with ``|alpha| = m1``, ``|beta| = m2`` and ``|alpha & beta| = k``.
 The ordered-pair convention is what makes the square-expansion identities
 in :func:`expansion_identity_check` come out exactly; it is fixed globally.
+
+The split checks and the expansion identity read only the
+:class:`MinorPairSums` they are given; both split forms return a
+:class:`SplitReport`.
 """
 
 from __future__ import annotations
@@ -124,18 +128,23 @@ class MinorPairSums:
 
 
 @dataclass(frozen=True)
-class RatioReport:
+class SplitReport:
     m: int
-    k: int
-    lhs: float      # balanced pair sum, normalized by its identity count
-    rhs: float      # unbalanced (m+1, m-1) pair sum, normalized likewise
+    k: int          # the overlap (j in the pointwise form)
+    lhs: float      # (m, m) side
+    rhs: float      # (m+1, m-1) side
     margin: float   # lhs - rhs
     scale: float    # max(|lhs|, |rhs|)
     holds: bool     # margin >= -tol * scale, so a zero margin holds
 
 
-def ratio_check(a, m: int, k: int, tol: float = 1e-9,
-                sums: MinorPairSums | None = None) -> RatioReport:
+def _split(m: int, k: int, lhs: float, rhs: float, tol: float) -> SplitReport:
+    margin = lhs - rhs
+    scale = max(abs(lhs), abs(rhs))
+    return SplitReport(m, k, lhs, rhs, margin, scale, margin >= -tol * scale)
+
+
+def ratio_check(sums: MinorPairSums, m: int, k: int, tol: float = 1e-9) -> SplitReport:
     """Compare identity-normalized pair sums of the (m, m) and (m+1, m-1) splits.
 
     A nonnegative margin at every feasible (m, k) is the inequality that
@@ -144,7 +153,6 @@ def ratio_check(a, m: int, k: int, tol: float = 1e-9,
     is judged against ``tol * max(|lhs|, |rhs|)``, so it does not change
     under A -> sA, and a margin of exactly 0 holds.
     """
-    sums = sums if sums is not None else MinorPairSums(a)
     n = sums.n
     if not (0 <= k < m < n):
         raise InputError(f"need 0 <= k < m < n, got (m, k) = ({m}, {k}) with n = {n}")
@@ -153,41 +161,20 @@ def ratio_check(a, m: int, k: int, tol: float = 1e-9,
     if d1 == 0 or d2 == 0:
         raise InputError(
             f"(m, k) = ({m}, {k}) is infeasible for n = {n}: identity pair count is zero")
-    lhs = sums.value(m, m, k) / d1
-    rhs = sums.value(m + 1, m - 1, k) / d2
-    margin = lhs - rhs
-    scale = max(abs(lhs), abs(rhs))
-    return RatioReport(m, k, lhs, rhs, margin, scale, margin >= -tol * scale)
+    return _split(m, k, sums.value(m, m, k) / d1, sums.value(m + 1, m - 1, k) / d2, tol)
 
 
-@dataclass(frozen=True)
-class PointwiseReport:
-    m: int
-    j: int
-    lhs: float      # (m-j)   * pair_sum(m, m, j)
-    rhs: float      # (m-j+1) * pair_sum(m+1, m-1, j)
-    margin: float
-    scale: float
-    holds: bool
-
-
-def pointwise_check(a, m: int, j: int, tol: float = 1e-9,
-                    sums: MinorPairSums | None = None) -> PointwiseReport:
+def pointwise_check(sums: MinorPairSums, m: int, j: int, tol: float = 1e-9) -> SplitReport:
     """Un-normalized counted form of the same split comparison at one overlap j:
     (m-j) * pair_sum(m, m, j) >= (m-j+1) * pair_sum(m+1, m-1, j)."""
-    sums = sums if sums is not None else MinorPairSums(a)
     n = sums.n
     if not (0 <= j <= m <= n - 1):
         raise InputError(f"need 0 <= j <= m <= n-1, got (m, j) = ({m}, {j}) with n = {n}")
-    lhs = (m - j) * sums.value(m, m, j)
-    rhs = (m - j + 1) * sums.value(m + 1, m - 1, j)
-    margin = lhs - rhs
-    scale = max(abs(lhs), abs(rhs))
-    return PointwiseReport(m, j, lhs, rhs, margin, scale, margin >= -tol * scale)
+    return _split(m, j, (m - j) * sums.value(m, m, j),
+                  (m - j + 1) * sums.value(m + 1, m - 1, j), tol)
 
 
-def expansion_identity_check(a, m: int, tol: float = 1e-9,
-                             sums: MinorPairSums | None = None) -> bool:
+def expansion_identity_check(sums: MinorPairSums, m: int, tol: float = 1e-9) -> bool:
     """Verify the two square-expansion identities at index m.
 
     ``c_m^2`` equals the total (m, m) pair sum over C(n,m)^2, and
@@ -196,7 +183,6 @@ def expansion_identity_check(a, m: int, tol: float = 1e-9,
     real matrix; the left sides travel through the eigenvalues and the
     spectrum recurrence, so this doubles as a cross-route consistency check.
     """
-    sums = sums if sums is not None else MinorPairSums(a)
     n = sums.n
     if not 1 <= m <= n - 1:
         raise InputError(f"need 1 <= m <= n-1, got m = {m} with n = {n}")

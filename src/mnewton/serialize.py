@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 from numbers import Integral, Real
 
+from .defaults import DEFAULT_MARGIN
 from .errors import InputError
 from .forms import FormMatrix, _dense_masks
 
@@ -121,7 +122,7 @@ def generator_spec_from_dict(d):
         raise InputError("field 'kind' must be a string")
     n = _as_int(_require(d, "n"), "n")
     seed = _as_int(_require(d, "seed"), "seed")
-    margin = _as_real(d.get("margin", 0.1), "margin")
+    margin = _as_real(d.get("margin", DEFAULT_MARGIN), "margin")
     return GeneratorSpec(kind=kind, n=n, seed=seed, margin=margin)
 
 

@@ -91,8 +91,8 @@ def test_criterion_04_split_inequalities_all_feasible_params():
             a = generate(GeneratorSpec(kind, n, seed))
             sums = MinorPairSums(a)
             for m, k in feasible_ratio_params(n):
-                ratio = ratio_check(a, m, k, tol=1e-9, sums=sums)
-                point = pointwise_check(a, m, k, tol=1e-9, sums=sums)
+                ratio = ratio_check(sums, m, k, tol=1e-9)
+                point = pointwise_check(sums, m, k, tol=1e-9)
                 if ratio.margin < -1e-9 * ratio.scale:
                     failures.append(("ratio", kind, seed, m, k, ratio.margin))
                 if point.margin < -1e-9 * point.scale:
@@ -111,7 +111,7 @@ def test_criterion_05_expansion_identities_unrestricted():
         a = rng.uniform(-1.0, 1.0, (n, n))
         sums = MinorPairSums(a)
         for m in range(1, n):
-            if not expansion_identity_check(a, m, tol=1e-9, sums=sums):
+            if not expansion_identity_check(sums, m, tol=1e-9):
                 failures.append((i, n, m))
     ok = not failures
     assert _verdict(5, "square-expansion identities on 100 random matrices",

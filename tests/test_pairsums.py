@@ -85,7 +85,7 @@ def test_pair_sums_accept_order_twenty_one():
     a = generate(GeneratorSpec("M", 21, 0))
     sums = MinorPairSums(a)
     assert sums.n == 21
-    assert ratio_check(a, 10, 9, sums=sums).holds
+    assert ratio_check(sums, 10, 9).holds
 
 
 def test_identity_pair_count_examples():
@@ -148,13 +148,13 @@ def test_pair_sum_against_direct_enumeration():
 def test_ratio_check_identity_margin_zero():
     for n in (2, 4, 6):
         for m, k in feasible_ratio_params(n):
-            rep = ratio_check(np.eye(n), m, k)
+            rep = ratio_check(MinorPairSums(np.eye(n)), m, k)
             assert rep.margin == pytest.approx(0.0, abs=1e-12)
             assert rep.holds
 
 
 def test_ratio_check_diag_example():
-    rep = ratio_check(np.diag([1.0, 2.0]), 1, 0)
+    rep = ratio_check(MinorPairSums(np.diag([1.0, 2.0])), 1, 0)
     assert rep.lhs == pytest.approx(2.0)       # 4 / 2
     assert rep.rhs == pytest.approx(2.0)       # 2 / 1
     assert rep.margin == pytest.approx(0.0, abs=1e-14)
@@ -166,23 +166,23 @@ def test_ratio_check_on_generated_m_matrices():
         a = generate(GeneratorSpec("M", 5, seed))
         sums = MinorPairSums(a)
         for m, k in feasible_ratio_params(5):
-            assert ratio_check(a, m, k, sums=sums).holds
+            assert ratio_check(sums, m, k).holds
 
 
 def test_ratio_check_rejects_infeasible():
     with pytest.raises(InputError):
-        ratio_check(np.eye(3), 2, 0)   # 2m - k = 4 > 3: identity count zero
+        ratio_check(MinorPairSums(np.eye(3)), 2, 0)   # 2m - k = 4 > 3: identity count zero
     with pytest.raises(InputError):
-        ratio_check(np.eye(3), 1, 1)   # needs k < m
+        ratio_check(MinorPairSums(np.eye(3)), 1, 1)   # needs k < m
 
 
 def test_pointwise_check_examples():
-    rep = pointwise_check(np.diag([1.0, 2.0]), 1, 0)
+    rep = pointwise_check(MinorPairSums(np.diag([1.0, 2.0])), 1, 0)
     assert rep.margin == pytest.approx(0.0, abs=1e-14)   # 1*4 - 2*2
     for n in (3, 5):
         for m in range(1, n):
             for j in range(m + 1):
-                rep = pointwise_check(np.eye(n), m, j)
+                rep = pointwise_check(MinorPairSums(np.eye(n)), m, j)
                 lhs = (m - j) * identity_pair_count(n, m, m, j)
                 rhs = (m - j + 1) * identity_pair_count(n, m + 1, m - 1, j)
                 assert rep.margin == pytest.approx(float(lhs - rhs), abs=1e-9)
@@ -196,21 +196,21 @@ def test_pointwise_check_on_generated_m_matrices():
         sums = MinorPairSums(a)
         for m in range(1, n):
             for j in range(m + 1):
-                rep = pointwise_check(a, m, j, sums=sums)
+                rep = pointwise_check(sums, m, j)
                 assert rep.margin >= -1e-9 * rep.scale
 
 
 def test_pointwise_check_validates_params():
     with pytest.raises(InputError):
-        pointwise_check(np.eye(3), 3, 0)
+        pointwise_check(MinorPairSums(np.eye(3)), 3, 0)
     with pytest.raises(InputError):
-        pointwise_check(np.eye(3), 1, 2)
+        pointwise_check(MinorPairSums(np.eye(3)), 1, 2)
 
 
 def test_expansion_identity_on_identity_matrix():
     for n in (2, 4, 6):
         for m in range(1, n):
-            assert expansion_identity_check(np.eye(n), m)
+            assert expansion_identity_check(MinorPairSums(np.eye(n)), m)
 
 
 def test_expansion_identity_diag_hand_values():
@@ -218,7 +218,7 @@ def test_expansion_identity_diag_hand_values():
     sums = MinorPairSums(a)
     assert sums.value(1, 1, 0) == pytest.approx(22.0)  # 2*(1*2 + 1*3 + 2*3)
     assert sums.value(1, 1, 1) == pytest.approx(14.0)  # 1 + 4 + 9
-    assert expansion_identity_check(a, 1)
+    assert expansion_identity_check(sums, 1)
 
 
 def test_expansion_identity_on_unrestricted_matrices():
@@ -227,12 +227,12 @@ def test_expansion_identity_on_unrestricted_matrices():
         n = int(rng.integers(2, 8))
         a = rng.uniform(-1, 1, (n, n))
         for m in range(1, n):
-            assert expansion_identity_check(a, m, tol=1e-9)
+            assert expansion_identity_check(MinorPairSums(a), m, tol=1e-9)
 
 
 def test_expansion_identity_validates_m():
     with pytest.raises(InputError):
-        expansion_identity_check(np.eye(3), 3)
+        expansion_identity_check(MinorPairSums(np.eye(3)), 3)
 
 
 def test_duality_identity_for_nonsingular_m():
@@ -337,16 +337,17 @@ def test_split_checks_hold_at_n16():
         a = generate(GeneratorSpec(kind, 16, 5))
         sums = MinorPairSums(a)
         for m, k in feasible_ratio_params(16):
-            assert ratio_check(a, m, k, sums=sums).holds, (kind, m, k)
-            assert pointwise_check(a, m, k, sums=sums).holds, (kind, m, k)
+            assert ratio_check(sums, m, k).holds, (kind, m, k)
+            assert pointwise_check(sums, m, k).holds, (kind, m, k)
 
 
 @pytest.mark.parametrize("s", [1.0, 1e-5, 1e-150])
 def test_split_checks_fail_scaled_violator(s):
     # (1, 1)-split margin is -s^2 against a scale of 2 s^2: a 50 % violation
     a = s * np.array([[1.0, 1.0], [-1.0, 1.0]])
-    assert not ratio_check(a, 1, 0).holds
-    assert not pointwise_check(a, 1, 0).holds
+    sums = MinorPairSums(a)
+    assert not ratio_check(sums, 1, 0).holds
+    assert not pointwise_check(sums, 1, 0).holds
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: minor products underflow to 0, which holds")
@@ -354,8 +355,9 @@ def test_split_verdicts_survive_underflow():
     # both sides have degree 2m, so s*A has the verdict of A at every scale
     for s in (1.0, 1e-150, 1e-170):
         a = s * np.array([[1.0, 1.0], [-1.0, 1.0]])
-        assert not ratio_check(a, 1, 0).holds, s
-        assert not pointwise_check(a, 1, 0).holds, s
+        sums = MinorPairSums(a)
+        assert not ratio_check(sums, 1, 0).holds, s
+        assert not pointwise_check(sums, 1, 0).holds, s
 
 
 def test_split_verdicts_invariant_under_scaling():
@@ -368,7 +370,29 @@ def test_split_verdicts_invariant_under_scaling():
         sums, scaled = MinorPairSums(a), MinorPairSums(b)
         for m, k in feasible_ratio_params(n):
             for check in (ratio_check, pointwise_check):
-                r0, r1 = check(a, m, k, sums=sums), check(b, m, k, sums=scaled)
+                r0, r1 = check(sums, m, k), check(scaled, m, k)
                 assert r0.holds == r1.holds, (check.__name__, n, m, k)
                 assert r1.margin / r1.scale == pytest.approx(r0.margin / r0.scale, abs=1e-12), \
                     (check.__name__, n, m, k)
+
+
+def test_split_forms_are_one_inequality():
+    # each side of the pointwise form is lambda = (m-k) * identity_pair_count(n, m, m, k)
+    # times the same side of the ratio form, since (m-k+1) times the (m+1, m-1) count
+    # equals lambda; so the two verdicts agree
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(5)
+    mats = [generate(GeneratorSpec(kind, n, seed))
+            for kind in ("M", "inverse-M", "similarity-conjugated-M")
+            for n in (4, 7, 10) for seed in range(3)]
+    mats += [rng.uniform(-1, 1, (n, n)) for n in rng.integers(2, 8, 200)]
+    for a in mats:
+        n = a.shape[0]
+        sums = MinorPairSums(a)
+        for m, k in feasible_ratio_params(n):
+            ratio, point = ratio_check(sums, m, k), pointwise_check(sums, m, k)
+            lam = (m - k) * identity_pair_count(n, m, m, k)
+            assert (m - k + 1) * identity_pair_count(n, m + 1, m - 1, k) == lam
+            for got, ref in ((point.lhs, lam * ratio.lhs), (point.rhs, lam * ratio.rhs)):
+                assert abs(got - ref) <= 4 * eps * abs(ref), (n, m, k)
+            assert point.holds == ratio.holds, (n, m, k)
