@@ -11,8 +11,6 @@ from .linalg import as_matrix, binomials
 
 # pairing tolerance for conjugate closure, relative to max(1, max |value|)
 CLOSURE_RTOL = 1e-9
-# the Newton tolerance never drops below this absolute floor
-NEWTON_TOL_FLOOR = 1e-12
 
 
 def ensure_conjugate_closed(values) -> np.ndarray:
@@ -110,8 +108,8 @@ class NewtonReport:
 def newton_check(c, tol: float = 1e-9) -> NewtonReport:
     """Check c_j^2 >= c_{j-1} c_{j+1} for all inner j.
 
-    Each margin is compared against ``-max(tol * max(1, c_j^2), 1e-12)``:
-    relative to the local coefficient magnitude, with an absolute floor.
+    Each margin is compared against ``-tol * max(c_j^2, |c_{j-1} c_{j+1}|)``,
+    the larger of the two terms it subtracts, so the verdict is scale-free.
     A non-finite coefficient or margin (overflow) raises InputError.
     """
     cv = np.asarray(c, dtype=float).ravel()
@@ -139,9 +137,9 @@ def _newton(c: np.ndarray, tol: float):
     """Margins, verdicts and worst j (a list) of each row of a ``(B, n+1)``
     block of normalized coefficients; the worst j is None when n < 2."""
     mid = c[:, 1:-1]
-    margins = mid * mid - c[:, :-2] * c[:, 2:]
-    ref = np.maximum(1.0, mid * mid)
-    holds = np.all(margins >= -np.maximum(tol * ref, NEWTON_TOL_FLOOR), axis=1)
+    square, outer = mid * mid, c[:, :-2] * c[:, 2:]
+    margins = square - outer
+    holds = np.all(margins >= -tol * np.maximum(square, np.abs(outer)), axis=1)
     if not mid.shape[1]:
         return margins, holds, [None] * len(c)
-    return margins, holds, (np.argmin(margins / ref, axis=1) + 1).tolist()
+    return margins, holds, (np.argmin(margins / np.maximum(1.0, square), axis=1) + 1).tolist()

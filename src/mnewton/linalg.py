@@ -166,6 +166,26 @@ def _minor_tree(mat: np.ndarray, m: int | None = None) -> np.ndarray:
     return minors
 
 
+def _leading_minors(mat: np.ndarray) -> np.ndarray:
+    """det A[:k, :k] for k = 1..n: the all-include path of :func:`_minor_tree`.
+
+    Each leading minor is the previous one times the next pivot of one
+    unpivoted elimination, in the tree's arithmetic and with its rejection
+    rule.  After a rejected pivot the minor it ends is still its product,
+    and the minors after it come from :func:`determinant` on their blocks.
+    """
+    n = mat.shape[0]
+    u = mat.copy()
+    for k in range(n - 1):
+        p = u[k, k]
+        if abs(p) <= TREE_PIVOT_RTOL * np.max(np.abs(u[k, k:])):
+            minors = np.cumprod(np.diagonal(u)[:k + 1])
+            return np.concatenate(
+                (minors, [determinant(mat[:j, :j]) for j in range(k + 2, n + 1)]))
+        u[k + 1:, k + 1:] -= np.outer(u[k + 1:, k], u[k, k + 1:] / p)
+    return np.cumprod(np.diagonal(u))
+
+
 def principal_minors_by_mask(a) -> np.ndarray:
     """All 2^n principal minors, entry ``mask`` being det A[S] for the subset
     S with bit i-1 set for element i (the empty set gives 1.0).

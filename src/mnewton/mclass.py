@@ -16,9 +16,9 @@ import numpy as np
 
 from .defaults import DEFAULT_MARGIN, GENERATOR_KINDS
 from .errors import InputError
-from .linalg import as_matrix, determinant, principal_minors_by_mask
+from .linalg import _leading_minors, as_matrix, determinant, principal_minors_by_mask
 
-P_TEST_MAX_N = 12
+P_TEST_MAX_N = 20
 DUAL_CHECK_MAX_N = 20
 # relative shift probed when deciding membership in the singular-M closure
 SINGULAR_PROBE_SHIFT = 1e-8
@@ -75,8 +75,8 @@ def _z_violations(a: np.ndarray, tol: float) -> list:
 def _bad_leading_minors(a: np.ndarray, tol: float) -> list:
     """Leading minors <= ``tol`` as ((1, ..., k), minor); a Z-matrix with none
     is a nonsingular M-matrix (leading-minor characterization)."""
-    minors = (determinant(a[:k, :k]) for k in range(1, a.shape[0] + 1))
-    return [(tuple(range(1, k + 2)), float(lm)) for k, lm in enumerate(minors) if lm <= tol]
+    return [(tuple(range(1, k + 2)), lm)
+            for k, lm in enumerate(_leading_minors(a).tolist()) if lm <= tol]
 
 
 def _is_inverse_m(a: np.ndarray, tol: float) -> bool:
@@ -96,13 +96,16 @@ def classify(a, tol: float = 1e-9) -> MatrixClassReport:
     """Classify a square real matrix by sign structure and minor positivity.
 
     ``is_p`` is decided by the exhaustive all-minors oracle for
-    n <= P_TEST_MAX_N.  For larger Z-matrices it is inferred from the
-    leading minors when possible, and reported as None (not evaluated)
-    otherwise.  ``witnesses`` are the minors <= ``tol`` that the exhaustive
-    test finds (at most 4 per size), else the leading ones.  ``m_class``
-    distinguishes nonsingular M-matrices from members of the singular
-    closure: a Z-matrix A is M-singular when A + eps*max|A|*I, with
-    eps = SINGULAR_PROBE_SHIFT, passes the leading-minor test.
+    n <= P_TEST_MAX_N, which judges the minors of 2^-e A, with e the binary
+    exponent of max|A|, against ``tol``.  For larger Z-matrices it is
+    inferred from the leading minors when possible, and reported as None
+    (not evaluated) otherwise.  ``witnesses`` are the minors of A whose
+    scaled minors are <= ``tol`` in the exhaustive test (at most 4 per
+    size), else the leading minors <= ``tol``, which come from one
+    elimination chain.  ``m_class`` distinguishes nonsingular M-matrices
+    from members of the singular closure: a Z-matrix A is M-singular when
+    A + eps*max|A|*I, with eps = SINGULAR_PROBE_SHIFT, passes the
+    leading-minor test.
     """
     mat = as_matrix(a)
     n = mat.shape[0]
@@ -112,7 +115,12 @@ def classify(a, tol: float = 1e-9) -> MatrixClassReport:
     nonsing = is_z and not witnesses
 
     if n <= P_TEST_MAX_N:
-        minors = principal_minors_by_mask(mat)
+        # the tree's arithmetic commutes with power-of-two scaling, so the size-m
+        # minors of 2^-e A are those of A times 2^-em and the verdict ignores A's
+        # scale (a minor behind a rejected pivot comes from batched det, which is
+        # not exact under that scaling, and may move in its last bits)
+        e = math.frexp(float(np.max(np.abs(mat))))[1]
+        minors = principal_minors_by_mask(np.ldexp(mat, -e))
         bad = np.flatnonzero(minors[1:] <= tol) + 1      # masks of the nonempty sets
         is_p: bool | None = not bad.size
         sizes = np.bitwise_count(bad)
@@ -120,7 +128,7 @@ def classify(a, tol: float = 1e-9) -> MatrixClassReport:
         for m in range(1, n + 1):
             for mask in bad[sizes == m][:_MAX_WITNESSES_PER_SIZE].tolist():
                 alpha = tuple(i + 1 for i in range(n) if mask >> i & 1)
-                witnesses.append((alpha, float(minors[mask])))
+                witnesses.append((alpha, math.ldexp(float(minors[mask]), e * m)))
     else:
         is_p = True if nonsing else None
 

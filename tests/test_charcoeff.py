@@ -207,7 +207,6 @@ def test_newton_check_rejects_an_overflowed_spectrum():
         newton_check(coeffs_from_spectrum([1e200, 1e200, 1e200]))
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: a 1e-12 floor decides small margins")
 def test_newton_check_verdict_is_scale_free():
     # {+-s i} has the margin -s^2, a full violation at every scale
     for s in (1.0, 1e-7):

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mnewton import linalg
 from mnewton.charcoeff import normalized_coeffs
 from mnewton.errors import InputError
 from mnewton.linalg import (
+    _leading_minors,
     as_matrix,
     binomials,
     determinant,
@@ -218,6 +220,64 @@ def test_minor_tree_matches_batched_det():
                 want = principal_minors_batched(a, m)
                 assert np.max(np.abs(got[sizes == m] - want)) <= 1e-11 * np.max(np.abs(want)), \
                     (kind, n, m)
+
+
+def _counting_determinant(monkeypatch):
+    """Route ``linalg.determinant`` through a wrapper; return its call list."""
+    calls = []
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return determinant(a)
+    monkeypatch.setattr(linalg, "determinant", counted)
+    return calls
+
+
+def test_leading_minor_chain_is_the_all_include_path(monkeypatch):
+    # The chain is the tree's all-include path, so it matches the tree bit for
+    # bit.  Against row-pivoted determinant per block the error is judged
+    # against max(|det_k|, |det_{k-1}| * max|A|): the last minor of singular-M
+    # (round-off) and of its probe shift (about 1e-8 * |det_{k-1}| * max|A|)
+    # cancel terms of that size.  Measured: at most 6.3e-16.
+    cases = []
+    for n in (*range(4, 13), 16, 24, 32, 48, 64):
+        for kind in ("M", "singular-M"):
+            a = generate(GeneratorSpec(kind, n, n))
+            cases += [a, a + 1e-8 * np.max(np.abs(a)) * np.eye(n)]
+    wants = [np.array([determinant(a[:k, :k]) for k in range(1, a.shape[0] + 1)])
+             for a in cases]
+    calls = _counting_determinant(monkeypatch)
+    for a, want in zip(cases, wants):
+        n = a.shape[0]
+        got = _leading_minors(a)
+        below = np.concatenate(([1.0], np.abs(want[:-1]))) * np.max(np.abs(a))
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), below)), n
+        if n <= 16:
+            path = principal_minors_by_mask(a)[(1 << np.arange(1, n + 1)) - 1]
+            assert got.tolist() == path.tolist(), n
+    assert not calls        # no pivot of these matrices is rejected
+
+
+def test_leading_minor_chain_falls_back_after_a_rejected_pivot(monkeypatch):
+    # det A[{1,2}] = 1 * 0 ends the chain exactly; det A[{1,2,3}] = -3 is row-pivoted
+    mid = np.array([[1.0, 1.0, 2.0], [1.0, 1.0, 3.0], [2.0, 5.0, 1.0]])
+    calls = _counting_determinant(monkeypatch)
+    assert _leading_minors(mid).tolist() == [1.0, 0.0, determinant(mid)]
+    assert calls == [(3, 3)]
+    # tiny first pivots delta = 10^-k: delta <= 1e-2 * max|row 1| from k = 2 on,
+    # and the minors after it are those of the row-pivoted determinant
+    for k in range(1, 13):
+        a = _tiny_first_pivot(10.0 ** -k)
+        calls.clear()
+        got = _leading_minors(a)
+        exact = [float(exact_minors_by_mask(a)[mask]) for mask in (0b1, 0b11, 0b111)]
+        assert got[0] == a[0, 0]
+        assert got.tolist() == pytest.approx(exact, rel=1e-8), k
+        if k >= 2:
+            assert calls == [(2, 2), (3, 3)], k
+            assert got[1:].tolist() == [determinant(a[:2, :2]), determinant(a)], k
+        else:
+            assert not calls
 
 
 def test_small_size_minors_at_forty_stay_small():

@@ -73,6 +73,30 @@ def test_entry_rules_are_scale_free():
         assert classify(s * np.array([[2.0, 1e-10], [-1.0, 2.0]])).is_z, e
 
 
+@pytest.mark.parametrize("n", [6, 12, 16])
+def test_p_test_is_scale_free(n):
+    # the size-m minors of 2^e A are those of A times 2^(e m): an absolute
+    # minor <= tol read inverse-M as not P at small scales and singular-M as P
+    # at large ones
+    for kind, want in (("inverse-M", True), ("singular-M", False)):
+        for seed in range(2):
+            a = generate(GeneratorSpec(kind, n, seed))
+            base = classify(a)
+            assert base.is_p is want, (kind, seed)
+            for e in (-40, 40):
+                rep = classify(2.0 ** e * a)
+                assert rep.is_p is want, (kind, seed, e)
+                assert rep.witnesses == [(alpha, math.ldexp(v, e * len(alpha)))
+                                         for alpha, v in base.witnesses], (kind, seed, e)
+
+
+@pytest.mark.parametrize("n", [13, 20])
+def test_p_test_reaches_twenty(n):
+    assert P_TEST_MAX_N == 20
+    rep = classify(generate(GeneratorSpec("inverse-M", n, 0)))
+    assert rep.is_p is True and rep.m_class == NOT_M and not rep.witnesses
+
+
 def test_generate_is_deterministic():
     spec = GeneratorSpec("M", 6, 2024)
     assert np.array_equal(generate(spec), generate(spec))
