@@ -116,6 +116,22 @@ def _mask_elements(masks: np.ndarray, n: int) -> np.ndarray:
     return np.nonzero(bits)[1].reshape(masks.size, -1)
 
 
+def _schur_step(top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pivots of a ``(B, r, r)`` stack of complements, and the complements left
+    once each is eliminated.  Unpivoted, so a pivot ``|p| <= TREE_PIVOT_RTOL *
+    maxabs(its row)`` (a zero row included) is rejected: its complement is
+    NaN, and so is every minor read through it."""
+    piv = top[:, 0, 0]
+    row = np.abs(top[:, 0])
+    reject = row[:, 0] <= TREE_PIVOT_RTOL * row.max(axis=1)
+    marked = reject.any()
+    div = np.where(reject, 1.0, piv)[:, None, None] if marked else top[:, :1, :1]
+    comp = top[:, 1:, 1:] - top[:, 1:, :1] * (top[:, :1, 1:] / div)
+    if marked:
+        comp[reject] = np.nan
+    return piv, comp
+
+
 def _minor_tree(mat: np.ndarray, m: int | None = None) -> np.ndarray:
     """Principal minors of every subset (``m`` None) or of the size-m subsets,
     masks ascending, from one Schur-complement tree.
@@ -123,67 +139,49 @@ def _minor_tree(mat: np.ndarray, m: int | None = None) -> np.ndarray:
     The elements are taken in order (Griffin & Tsatsomeros 2006).  Before
     element k each subset S of {0..k-1} carries det A[S] and the Schur
     complement A/A[S] on {k..n-1}; with the pivot p = (A/A[S])_kk,
-    det A[S + {k}] = det A[S] * p, and eliminating p gives the complement
-    of S + {k}.  The children are stacked [exclude, include], so the stack
-    index is the bitmask.  With ``m`` given, the branches follow
+    det A[S + {k}] = det A[S] * p, and :func:`_schur_step` gives the
+    complement of S + {k}.  The children are stacked [exclude, include], so
+    the stack index is the bitmask.  With ``m`` given, the branches follow
     :func:`_colex_levels`: a set of size m is not extended, and one that can
-    no longer reach m is dropped.
-
-    The tree does not pivot, so a pivot with
-    ``|p| <= TREE_PIVOT_RTOL * maxabs(its complement row)`` (a zero row
-    included) is rejected: it would let the complement's entries grow
-    beyond round-off control.  det A[S] * p is still exact, but the minors
-    below it are recomputed by batched (row-pivoted) ``det`` on their
-    blocks.  The last element forms no complement, so it rejects nothing.
+    no longer reach m is dropped.  After a rejected pivot det A[S] * p is
+    still exact, and the NaN minors below it are recomputed by batched
+    (row-pivoted) ``det`` on their blocks.
     """
     n = mat.shape[0]
     levels = _colex_levels(n, m) if m is not None else \
-        itertools.repeat((slice(None), slice(None), None))
+        itertools.repeat((slice(None), slice(None), None), n)
     minors = np.ones(1)
     comp = mat[None]
-    stale = np.zeros(1, dtype=bool)   # complement unusable: a pivot above was rejected
-    redo = np.zeros(1, dtype=bool)    # minor to recompute by batched det
-    masks = None
-    for k, (stay, grow, masks) in zip(range(n), levels):
-        top = comp[grow]
-        piv = top[:, 0, 0]
+    for stay, grow, masks in levels:
+        piv, inc = _schur_step(comp[grow])
         minors = np.concatenate((minors[stay], minors[grow] * piv))
-        redo = np.concatenate((redo[stay], (redo | stale)[grow]))
-        if k < n - 1:
-            reject = np.abs(piv) <= TREE_PIVOT_RTOL * np.max(np.abs(top[:, 0]), axis=1)
-            scaled = top[:, :1, 1:] / np.where(reject, 1.0, piv)[:, None, None]
-            inc = top[:, 1:, 1:] - top[:, 1:, :1] * scaled
-            inc[reject] = 0.0
-            comp = np.concatenate((comp[stay, 1:, 1:], inc))
-            stale = np.concatenate((stale[stay], reject))
-    if redo.any():
-        where = np.flatnonzero(redo)
-        sub = where.astype(np.uint64) if masks is None else masks[where]
-        sizes = np.bitwise_count(sub)
-        for r in set(sizes.tolist()):
-            idx = _mask_elements(sub[sizes == r], n)
-            minors[where[sizes == r]] = np.linalg.det(mat[idx[:, :, None], idx[:, None, :]])
+        comp = np.concatenate((comp[stay, 1:, 1:], inc))
+    where = np.flatnonzero(np.isnan(minors))
+    sub = where.astype(np.uint64) if masks is None else masks[where]
+    sizes = np.bitwise_count(sub)
+    for r in set(sizes.tolist()):
+        idx = _mask_elements(sub[sizes == r], n)
+        minors[where[sizes == r]] = np.linalg.det(mat[idx[:, :, None], idx[:, None, :]])
     return minors
 
 
 def _leading_minors(mat: np.ndarray) -> np.ndarray:
     """det A[:k, :k] for k = 1..n: the all-include path of :func:`_minor_tree`.
 
-    Each leading minor is the previous one times the next pivot of one
-    unpivoted elimination, in the tree's arithmetic and with its rejection
-    rule.  After a rejected pivot the minor it ends is still its product,
-    and the minors after it come from :func:`determinant` on their blocks.
+    Each leading minor is the previous one times the next pivot of
+    :func:`_schur_step` on a stack of one matrix, as in the tree.  After a
+    rejected pivot the minor it ends is still exact, and the NaN minors after
+    it come from :func:`determinant` on their blocks.
     """
-    n = mat.shape[0]
-    u = mat.copy()
-    for k in range(n - 1):
-        p = u[k, k]
-        if abs(p) <= TREE_PIVOT_RTOL * np.max(np.abs(u[k, k:])):
-            minors = np.cumprod(np.diagonal(u)[:k + 1])
-            return np.concatenate(
-                (minors, [determinant(mat[:j, :j]) for j in range(k + 2, n + 1)]))
-        u[k + 1:, k + 1:] -= np.outer(u[k + 1:, k], u[k, k + 1:] / p)
-    return np.cumprod(np.diagonal(u))
+    comp = mat[None]
+    pivots = []
+    for _ in range(mat.shape[0]):
+        piv, comp = _schur_step(comp)
+        pivots.append(piv[0])
+    minors = np.cumprod(pivots)
+    for k in np.flatnonzero(np.isnan(minors)).tolist():
+        minors[k] = determinant(mat[:k + 1, :k + 1])
+    return minors
 
 
 def principal_minors_by_mask(a) -> np.ndarray:
