@@ -145,7 +145,8 @@ def _minor_tree(mat: np.ndarray, m: int | None = None) -> np.ndarray:
     :func:`_colex_levels`: a set of size m is not extended, and one that can
     no longer reach m is dropped.  After a rejected pivot det A[S] * p is
     still exact, and the NaN minors below it are recomputed by batched
-    (row-pivoted) ``det`` on their blocks.
+    (row-pivoted) ``det`` on their blocks, each brought to the binade of its
+    largest entry first, so every minor is exact under power-of-two scaling.
     """
     n = mat.shape[0]
     levels = _colex_levels(n, m) if m is not None else \
@@ -161,7 +162,9 @@ def _minor_tree(mat: np.ndarray, m: int | None = None) -> np.ndarray:
     sizes = np.bitwise_count(sub)
     for r in set(sizes.tolist()):
         idx = _mask_elements(sub[sizes == r], n)
-        minors[where[sizes == r]] = np.linalg.det(mat[idx[:, :, None], idx[:, None, :]])
+        blocks = mat[idx[:, :, None], idx[:, None, :]]
+        e = np.frexp(np.abs(blocks).max(axis=(1, 2), keepdims=True))[1]
+        minors[where[sizes == r]] = np.ldexp(np.linalg.det(np.ldexp(blocks, -e)), e[:, 0, 0] * r)
     return minors
 
 

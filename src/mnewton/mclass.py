@@ -116,9 +116,7 @@ def classify(a, tol: float = 1e-9) -> MatrixClassReport:
 
     if n <= P_TEST_MAX_N:
         # the tree's arithmetic commutes with power-of-two scaling, so the size-m
-        # minors of 2^-e A are those of A times 2^-em and the verdict ignores A's
-        # scale (a minor behind a rejected pivot comes from batched det, which is
-        # not exact under that scaling, and may move in its last bits)
+        # minors of 2^-e A are those of A times 2^-em: the verdict ignores A's scale
         e = math.frexp(float(np.max(np.abs(mat))))[1]
         minors = principal_minors_by_mask(np.ldexp(mat, -e))
         bad = np.flatnonzero(minors[1:] <= tol) + 1      # masks of the nonempty sets

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mnewton.errors import InputError
-from mnewton.linalg import determinant
+from mnewton.linalg import determinant, principal_minors_by_mask
 from mnewton.mclass import (
     GENERATOR_KINDS,
     M_NONSINGULAR,
@@ -88,6 +88,17 @@ def test_p_test_is_scale_free(n):
                 assert rep.is_p is want, (kind, seed, e)
                 assert rep.witnesses == [(alpha, math.ldexp(v, e * len(alpha)))
                                          for alpha, v in base.witnesses], (kind, seed, e)
+
+
+def test_p_test_witnesses_are_the_minors_of_a():
+    # the witnesses are minors of 2^-e A scaled back by 2^(e |alpha|), so they
+    # are A's own minors only if the tree is exact under that scaling
+    for n in range(4, 13):
+        for seed in range(8):
+            a = generate(GeneratorSpec("similarity-conjugated-M", n, seed))
+            minors = principal_minors_by_mask(a)
+            for alpha, v in classify(a).witnesses:
+                assert v == minors[sum(1 << (i - 1) for i in alpha)], (n, seed, alpha)
 
 
 @pytest.mark.parametrize("n", [13, 20])
