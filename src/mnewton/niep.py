@@ -112,10 +112,10 @@ def _newton_shift(vals: np.ndarray, tol: float) -> list[ConditionResult]:
     lam1 = vals.real[has, np.argmax(cands[has], axis=1)]
     # a real shift of a conjugation-closed spectrum is conjugation-closed
     margins, holds, worst_j = _newton(_coeffs(lam1[:, None] - vals[has]), tol)
-    least = margins.min(axis=1).tolist() if margins.shape[1] else [0.0] * has.size
+    own = [0.0 if j is None else mus[j - 1] for mus, j in zip(margins.tolist(), worst_j)]
     out = [ConditionResult(NOT_APPLICABLE, None,
                            note="maximum-modulus element is not real nonnegative")] * len(vals)
-    for r, lam, mu, ok, j in zip(has.tolist(), lam1.tolist(), least, holds.tolist(), worst_j):
+    for r, lam, mu, ok, j in zip(has.tolist(), lam1.tolist(), own, holds.tolist(), worst_j):
         out[r] = ConditionResult(PASS if ok else FAIL, mu, witness=j,
                                  note=f"shift by {lam:.12g}")
     return out

@@ -134,6 +134,23 @@ def test_newton_shift_six_tuple_margin():
     assert res.margin == pytest.approx((14.0 / 15.0) ** 2 - 1.0, abs=1e-9)
 
 
+def test_newton_shift_margin_is_that_of_its_witness():
+    # the witness is the j minimizing mu_j / max(1, c_j^2); the margin was
+    # min_j mu_j, here mu_3 = 0.4624 beside witness 1 with mu_1 = 0.5075
+    rng = np.random.default_rng(11)
+    spectra = [[2.6, 2.1, 0.9, -0.6]]
+    spectra += [rng.uniform(-1.0, 1.0, n) for n in rng.integers(2, 9, 200)]
+    for values in spectra:
+        res = screen(values).conditions["newton_shift"]
+        if res.status == NOT_APPLICABLE:
+            continue
+        lam = values[int(np.argmax(np.abs(values)))]
+        rep = newton_check(coeffs_from_spectrum([lam - v for v in values]))
+        assert res.witness == rep.worst_j, values
+        assert res.margin == rep.margins[rep.worst_j - 1], values
+    assert screen(spectra[0]).conditions["newton_shift"].margin == pytest.approx(0.5075)
+
+
 def test_newton_shift_not_applicable_without_perron_candidate():
     res = screen((-3.0, 1.0, 1.0)).conditions["newton_shift"]
     assert res.status == NOT_APPLICABLE
