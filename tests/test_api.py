@@ -20,6 +20,12 @@ def test_all_resolves_and_matches_package_imports():
             assert getattr(mnewton, name) is obj, name
 
 
+def test_dir_lists_every_export_and_submodule():
+    listed = dir(mnewton)
+    assert listed == sorted(set(listed))
+    assert {*mnewton.__all__, *mnewton._SUBMODULES, "__version__"} <= set(listed)
+
+
 def test_every_public_name_is_exported_or_used_in_src():
     # a public module-level function or class that nothing exports or uses is
     # dead code; a use is a name in the code, not in a docstring

@@ -326,6 +326,15 @@ def test_profile_infeasible_overlaps_exactly_zero():
                         assert prof[k] == 0.0, (n, m1, m2, k)
 
 
+def test_profile_of_sizes_outside_the_order_is_zero():
+    sums = MinorPairSums(np.eye(3))
+    assert sums.profile(4, 2).tolist() == [0.0] * 3
+    assert sums.profile(2, 5).tolist() == [0.0] * 3
+    assert sums.profile(7, 4).tolist() == [0.0] * 5
+    assert sums.profile(-1, 2).tolist() == []
+    assert sums.profile(2, -3).tolist() == []
+
+
 def test_profile_overflow_is_an_input_error():
     sums = MinorPairSums(1e200 * np.eye(3))
     with np.errstate(over="ignore"), pytest.raises(InputError):
