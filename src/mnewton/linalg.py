@@ -47,23 +47,26 @@ def determinant(a) -> float:
     ``|pivot| <= 1e-13 * maxabs(pivot row)`` (a zero column included) is
     treated as zero and the determinant is reported as exactly ``0.0``, so
     nearly singular input degrades to the singular answer instead of
-    round-off noise.
+    round-off noise.  The elimination runs on 2^-e A, with e the binary
+    exponent of max|A|, and the result is scaled back by 2^(e n), so no
+    pivot product overflows on the way to a finite determinant.
     """
-    u = as_matrix(a).copy()
+    u = as_matrix(a)
     n = u.shape[0]
+    e = math.frexp(float(np.max(np.abs(u))))[1]
+    u = np.ldexp(u, -e)
     det = 1.0
     for k in range(n - 1):
-        r = k + int(np.argmax(np.abs(u[k:, k])))
-        row_scale = float(np.max(np.abs(u[r, k:])))
-        if abs(u[r, k]) <= PIVOT_RTOL * row_scale:
+        col = np.abs(u[k:, k])
+        r = int(col.argmax())
+        if col[r] <= PIVOT_RTOL * np.abs(u[k + r, k:]).max():
             return 0.0
-        if r != k:
-            u[[k, r], k:] = u[[r, k], k:]
+        if r:
+            u[[k, k + r], k:] = u[[k + r, k], k:]
             det = -det
         det *= u[k, k]
-        f = u[k + 1:, k] / u[k, k]
-        u[k + 1:, k + 1:] -= np.outer(f, u[k, k + 1:])
-    return float(det * u[n - 1, n - 1])
+        u[k + 1:, k + 1:] -= (u[k + 1:, k] / u[k, k])[:, None] * u[k, k + 1:]
+    return float(np.ldexp(det * u[n - 1, n - 1], e * n))
 
 
 def enumerate_subsets(n: int, m: int) -> list[tuple[int, ...]]:
@@ -117,18 +120,20 @@ def _mask_elements(masks: np.ndarray, n: int) -> np.ndarray:
 
 
 def _schur_step(top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pivots of a ``(B, r, r)`` stack of complements, and the complements left
-    once each is eliminated.  Unpivoted, so a pivot ``|p| <= TREE_PIVOT_RTOL *
-    maxabs(its row)`` (a zero row included) is rejected: its complement is
-    NaN, and so is every minor read through it."""
-    piv = top[:, 0, 0]
-    row = np.abs(top[:, 0])
-    reject = row[:, 0] <= TREE_PIVOT_RTOL * row.max(axis=1)
+    """Pivots of an ``(r, r, B...)`` stack of complements, batch axes last, and
+    the complements left once each is eliminated.  Unpivoted, so a pivot
+    ``|p| <= TREE_PIVOT_RTOL * maxabs(its row)`` (a zero row included) is
+    rejected: its complement is NaN, and so is every minor read through it.
+    With the batch axes last every operation runs over contiguous batch
+    vectors; with none, ``top`` is one matrix."""
+    piv = top[0, 0]
+    row = np.abs(top[0])
+    reject = row[0] <= TREE_PIVOT_RTOL * row.max(axis=0)
     marked = reject.any()
-    div = np.where(reject, 1.0, piv)[:, None, None] if marked else top[:, :1, :1]
-    comp = top[:, 1:, 1:] - top[:, 1:, :1] * (top[:, :1, 1:] / div)
+    div = np.where(reject, 1.0, piv) if marked else piv
+    comp = top[1:, 1:] - top[1:, :1] * (top[:1, 1:] / div)
     if marked:
-        comp[reject] = np.nan
+        comp[..., reject] = np.nan
     return piv, comp
 
 
@@ -136,35 +141,42 @@ def _minor_tree(mat: np.ndarray, m: int | None = None) -> np.ndarray:
     """Principal minors of every subset (``m`` None) or of the size-m subsets,
     masks ascending, from one Schur-complement tree.
 
-    The elements are taken in order (Griffin & Tsatsomeros 2006).  Before
+    ``mat`` is one ``(n, n)`` matrix or an ``(n, n, K)`` stack of K matrices,
+    which gives a ``(masks, K)`` array: column k holds the minors of
+    ``mat[:, :, k]``, bit for bit as a tree of that matrix alone.  The
+    elements are taken in order (Griffin & Tsatsomeros 2006).  Before
     element k each subset S of {0..k-1} carries det A[S] and the Schur
     complement A/A[S] on {k..n-1}; with the pivot p = (A/A[S])_kk,
     det A[S + {k}] = det A[S] * p, and :func:`_schur_step` gives the
-    complement of S + {k}.  The children are stacked [exclude, include], so
-    the stack index is the bitmask.  With ``m`` given, the branches follow
-    :func:`_colex_levels`: a set of size m is not extended, and one that can
-    no longer reach m is dropped.  After a rejected pivot det A[S] * p is
-    still exact, and the NaN minors below it are recomputed by batched
-    (row-pivoted) ``det`` on their blocks, each brought to the binade of its
+    complement of S + {k}.  The complements are stacked along the third
+    axis, [exclude, include], so the stack index is the bitmask.  With ``m``
+    given, the branches follow :func:`_colex_levels`: a set of size m is not
+    extended, and one that can no longer reach m is dropped.  After a
+    rejected pivot det A[S] * p is still exact, and the NaN minors below it
+    are recomputed by batched (row-pivoted) ``det`` on their blocks,
+    gathered from their own matrix and each brought to the binade of its
     largest entry first, so every minor is exact under power-of-two scaling.
     """
     n = mat.shape[0]
     levels = _colex_levels(n, m) if m is not None else \
         itertools.repeat((slice(None), slice(None), None), n)
-    minors = np.ones(1)
-    comp = mat[None]
+    minors = np.ones((1,) + mat.shape[2:])
+    comp = mat[:, :, None]
     for stay, grow, masks in levels:
-        piv, inc = _schur_step(comp[grow])
+        piv, inc = _schur_step(comp[:, :, grow])
         minors = np.concatenate((minors[stay], minors[grow] * piv))
-        comp = np.concatenate((comp[stay, 1:, 1:], inc))
-    where = np.flatnonzero(np.isnan(minors))
-    sub = where.astype(np.uint64) if masks is None else masks[where]
+        comp = np.concatenate((comp[1:, 1:, stay], inc), axis=2)
+    where = np.nonzero(np.isnan(minors))
+    if not where[0].size:
+        return minors
+    sub = where[0].astype(np.uint64) if masks is None else masks[where[0]]
     sizes = np.bitwise_count(sub)
     for r in set(sizes.tolist()):
+        at = tuple(w[sizes == r] for w in where)
         idx = _mask_elements(sub[sizes == r], n)
-        blocks = mat[idx[:, :, None], idx[:, None, :]]
+        blocks = mat[(idx[:, :, None], idx[:, None, :]) + tuple(w[:, None, None] for w in at[1:])]
         e = np.frexp(np.abs(blocks).max(axis=(1, 2), keepdims=True))[1]
-        minors[where[sizes == r]] = np.ldexp(np.linalg.det(np.ldexp(blocks, -e)), e[:, 0, 0] * r)
+        minors[at] = np.ldexp(np.linalg.det(np.ldexp(blocks, -e)), e[:, 0, 0] * r)
     return minors
 
 
@@ -172,15 +184,15 @@ def _leading_minors(mat: np.ndarray) -> np.ndarray:
     """det A[:k, :k] for k = 1..n: the all-include path of :func:`_minor_tree`.
 
     Each leading minor is the previous one times the next pivot of
-    :func:`_schur_step` on a stack of one matrix, as in the tree.  After a
+    :func:`_schur_step` on the one matrix, as in the tree.  After a
     rejected pivot the minor it ends is still exact, and the NaN minors after
     it come from :func:`determinant` on their blocks.
     """
-    comp = mat[None]
+    comp = mat
     pivots = []
     for _ in range(mat.shape[0]):
         piv, comp = _schur_step(comp)
-        pivots.append(piv[0])
+        pivots.append(piv)
     minors = np.cumprod(pivots)
     for k in np.flatnonzero(np.isnan(minors)).tolist():
         minors[k] = determinant(mat[:k + 1, :k + 1])

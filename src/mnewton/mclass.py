@@ -16,7 +16,7 @@ import numpy as np
 
 from .defaults import DEFAULT_MARGIN, GENERATOR_KINDS
 from .errors import InputError
-from .linalg import _leading_minors, as_matrix, determinant, principal_minors_by_mask
+from .linalg import _leading_minors, _minor_tree, as_matrix, determinant, principal_minors_by_mask
 
 P_TEST_MAX_N = 20
 DUAL_CHECK_MAX_N = 20
@@ -67,9 +67,9 @@ def _z_violations(a: np.ndarray, tol: float) -> list:
     """Off-diagonal entries above ``tol * max|A|`` as ((i, j), a_ij), 1-based, row-major."""
     positive = a > tol * np.max(np.abs(a))
     np.fill_diagonal(positive, False)
-    # argwhere and boolean indexing both walk row-major, so the pairs line up
-    return [((i + 1, j + 1), x)
-            for (i, j), x in zip(np.argwhere(positive).tolist(), a[positive].tolist())]
+    # nonzero and boolean indexing both walk row-major, so the pairs line up
+    rows, cols = np.nonzero(positive)
+    return list(zip(zip((rows + 1).tolist(), (cols + 1).tolist()), a[positive].tolist()))
 
 
 def _bad_leading_minors(a: np.ndarray, tol: float) -> list:
@@ -101,33 +101,39 @@ def classify(a, tol: float = 1e-9) -> MatrixClassReport:
     inferred from the leading minors when possible, and reported as None
     (not evaluated) otherwise.  ``witnesses`` are the minors of A whose
     scaled minors are <= ``tol`` in the exhaustive test (at most 4 per
-    size), else the leading minors <= ``tol``, which come from one
-    elimination chain.  ``m_class`` distinguishes nonsingular M-matrices
-    from members of the singular closure: a Z-matrix A is M-singular when
-    A + eps*max|A|*I, with eps = SINGULAR_PROBE_SHIFT, passes the
-    leading-minor test.
+    size), else the leading minors <= ``tol``.  The leading minors of A
+    are read off that tree for n <= P_TEST_MAX_N and come from one
+    elimination chain above it.  ``m_class`` distinguishes nonsingular
+    M-matrices from members of the singular closure: a Z-matrix A is
+    M-singular when A + eps*max|A|*I, with eps = SINGULAR_PROBE_SHIFT,
+    passes the leading-minor test.
     """
     mat = as_matrix(a)
     n = mat.shape[0]
     zv = _z_violations(mat, tol)
     is_z = not zv
-    witnesses = _bad_leading_minors(mat, tol) if is_z else []
-    nonsing = is_z and not witnesses
 
     if n <= P_TEST_MAX_N:
         # the tree's arithmetic commutes with power-of-two scaling, so the size-m
         # minors of 2^-e A are those of A times 2^-em: the verdict ignores A's scale
         e = math.frexp(float(np.max(np.abs(mat))))[1]
         minors = principal_minors_by_mask(np.ldexp(mat, -e))
+        # the leading-minor chain is the tree's all-include path, so det A[:k, :k]
+        # is read off the tree instead of running the chain again
+        k = np.arange(1, n + 1)
+        nonsing = is_z and not np.any(np.ldexp(minors[(1 << k) - 1], e * k) <= tol)
         bad = np.flatnonzero(minors[1:] <= tol) + 1      # masks of the nonempty sets
         is_p: bool | None = not bad.size
-        sizes = np.bitwise_count(bad)
         witnesses = []
-        for m in range(1, n + 1):
-            for mask in bad[sizes == m][:_MAX_WITNESSES_PER_SIZE].tolist():
-                alpha = tuple(i + 1 for i in range(n) if mask >> i & 1)
-                witnesses.append((alpha, math.ldexp(float(minors[mask]), e * m)))
+        if bad.size:
+            sizes = np.bitwise_count(bad)
+            for m in range(1, n + 1):
+                for mask in bad[sizes == m][:_MAX_WITNESSES_PER_SIZE].tolist():
+                    alpha = tuple(i + 1 for i in range(n) if mask >> i & 1)
+                    witnesses.append((alpha, math.ldexp(float(minors[mask]), e * m)))
     else:
+        witnesses = _bad_leading_minors(mat, tol) if is_z else []
+        nonsing = is_z and not witnesses
         is_p = True if nonsing else None
 
     # singular closure: once A + t*I is a nonsingular M-matrix, every leading minor
@@ -197,9 +203,10 @@ def dual_minor_identity_check(a, tol: float = 1e-8) -> bool:
     exactly 0.0 by its relative pivot test) or a non-finite deviation
     (overflow in the minors or the determinant) raises InputError.
 
-    Both sides come from one Schur-complement tree each, indexed by
-    bitmask; the complement of mask S is 2^n - 1 - S, so reversing the
-    minors of A lines each complement up with its set.
+    Both sides come from one Schur-complement tree over the stack
+    (inv(A), A), indexed by bitmask; the complement of mask S is
+    2^n - 1 - S, so reversing the minors of A lines each complement up
+    with its set.
     """
     mat = as_matrix(a)
     n = mat.shape[0]
@@ -208,8 +215,12 @@ def dual_minor_identity_check(a, tol: float = 1e-8) -> bool:
     det = determinant(mat)
     if det == 0.0:
         raise InputError("matrix is singular (negligible pivot in elimination)")
-    lhs = principal_minors_by_mask(np.linalg.inv(mat))
-    rhs = principal_minors_by_mask(mat)[::-1] / det
+    try:
+        inv = np.linalg.inv(mat)
+    except np.linalg.LinAlgError:       # LAPACK met an exact zero pivot
+        raise InputError("matrix is singular (negligible pivot in elimination)") from None
+    minors = _minor_tree(np.stack((inv, mat), axis=-1))
+    lhs, rhs = minors[:, 0], minors[::-1, 1] / det
     dev = np.abs(lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     if not np.all(np.isfinite(dev)):
         raise InputError(

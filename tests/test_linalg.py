@@ -295,6 +295,38 @@ def test_leading_minor_chain_falls_back_after_a_rejected_pivot(monkeypatch):
             assert not calls
 
 
+def test_stacked_tree_is_the_per_matrix_trees():
+    # Column k of a tree over an (n, n, K) stack is the tree of matrix k alone,
+    # bit for bit.  mid rejects a pivot and the other members do not, so the
+    # fallback must gather mid's blocks and write mid's column only.
+    mid = np.array([[1.0, 1.0, 2.0], [1.0, 1.0, 3.0], [2.0, 5.0, 1.0]])
+    rng = np.random.default_rng(4)
+    stacks = [[generate(GeneratorSpec("M", 3, 1)), mid],
+              [mid, generate(GeneratorSpec("inverse-M", 3, 2)), _tiny_first_pivot(1e-6)]]
+    for n in (1, 5, 9):
+        stacks.append([generate(GeneratorSpec(kind, n, n)) for kind in
+                       ("M", "inverse-M", "singular-M", "similarity-conjugated-M")]
+                      + [rng.standard_normal((n, n))])
+    for mats in stacks:
+        n = mats[0].shape[0]
+        for m in (None, *range(n + 1)):
+            got = linalg._minor_tree(np.stack(mats, axis=-1), m)
+            assert got.shape[1] == len(mats)
+            for k, a in enumerate(mats):
+                assert got[:, k].tobytes() == linalg._minor_tree(a, m).tobytes(), (n, m, k)
+    assert linalg._minor_tree(np.stack(stacks[0], axis=-1))[0b111].tolist() == \
+        [determinant(stacks[0][0]), pytest.approx(-3.0, rel=1e-14)]
+
+
+def test_determinant_is_finite_for_finite_input():
+    # exact determinant 0: unscaled, the pivot product overflowed to inf and the
+    # zero last pivot made it nan, which the chain then kept as its last minor
+    a = np.array([[2.0, 100.0, 100.0], [0.0, 1.0, 1.0], [1e307, 1.0, 1.0]])
+    assert determinant(a) == 0.0
+    with np.errstate(over="ignore", invalid="ignore"):      # the chain's complement overflows
+        assert _leading_minors(a).tolist() == [2.0, 2.0, 0.0]
+
+
 def test_small_size_minors_at_forty_stay_small():
     a = generate(GeneratorSpec("M", 40, 0))
     tracemalloc.start()

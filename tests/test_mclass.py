@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mnewton import mclass
 from mnewton.errors import InputError
 from mnewton.linalg import determinant, principal_minors_by_mask
 from mnewton.mclass import (
@@ -106,6 +107,33 @@ def test_p_test_reaches_twenty(n):
     assert P_TEST_MAX_N == 20
     rep = classify(generate(GeneratorSpec("inverse-M", n, 0)))
     assert rep.is_p is True and rep.m_class == NOT_M and not rep.witnesses
+
+
+def test_nonsingular_verdict_from_the_tree_is_the_chains(monkeypatch):
+    # Up to P_TEST_MAX_N classify reads det A[:k, :k] off the P-test tree.  With
+    # every matrix taken as a Z-matrix, its M-nonsingular verdict must be the
+    # chain's, tiny (rejected) first pivots and scaled copies included.
+    from test_linalg import _tiny_first_pivot
+    cases = [_tiny_first_pivot(10.0 ** -k) for k in range(1, 13)]
+    for kind in GENERATOR_KINDS:
+        for n in range(1, P_TEST_MAX_N + 1):
+            a = generate(GeneratorSpec(kind, n, n))
+            cases += [a, 2.0 ** -30 * a, 1e-12 * a]
+    monkeypatch.setattr(mclass, "_z_violations", lambda a, tol: [])
+    for a in cases:
+        assert (classify(a).m_class == M_NONSINGULAR) == \
+            (not mclass._bad_leading_minors(a, 1e-9)), a.shape
+
+
+def test_classify_runs_no_leading_minor_chain_up_to_the_p_test_cap(monkeypatch):
+    calls = []
+    chain = mclass._leading_minors
+    monkeypatch.setattr(mclass, "_leading_minors", lambda a: calls.append(a.shape) or chain(a))
+    for n in range(1, P_TEST_MAX_N + 1):
+        assert classify(generate(GeneratorSpec("M", n, n))).m_class == M_NONSINGULAR
+    assert not calls
+    classify(generate(GeneratorSpec("M", P_TEST_MAX_N + 1, 0)))
+    assert calls == [(P_TEST_MAX_N + 1, P_TEST_MAX_N + 1)]
 
 
 def test_generate_is_deterministic():
@@ -334,6 +362,14 @@ def test_dual_minor_identity_rejects_singular_and_oversized():
         dual_minor_identity_check(np.array([[1.0, -1.0], [-1.0, 1.0]]))
     with pytest.raises(InputError):
         dual_minor_identity_check(np.eye(21))
+
+
+def test_dual_minor_identity_singular_inverse_is_input_error():
+    # determinant reads -3.5e-11, which its relative pivot rule keeps, while
+    # LAPACK's inverse meets an exact zero pivot
+    a = generate(GeneratorSpec("singular-M", 9, 383480188))
+    with pytest.raises(InputError, match="matrix is singular"):
+        dual_minor_identity_check(a)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
