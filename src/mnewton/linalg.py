@@ -47,15 +47,14 @@ def determinant(a) -> float:
     ``|pivot| <= 1e-13 * maxabs(pivot row)`` (a zero column included) is
     treated as zero and the determinant is reported as exactly ``0.0``, so
     nearly singular input degrades to the singular answer instead of
-    round-off noise.  The elimination runs on 2^-e A, with e the binary
-    exponent of max|A|, and the result is scaled back by 2^(e n), so no
-    pivot product overflows on the way to a finite determinant.
+    round-off noise.  The pivot product is carried as a mantissa and a
+    binary exponent, so it cannot overflow on the way to a finite
+    determinant, and the matrix itself is not rescaled, so no small entry
+    underflows.
     """
-    u = as_matrix(a)
+    u = as_matrix(a).copy()
     n = u.shape[0]
-    e = math.frexp(float(np.max(np.abs(u))))[1]
-    u = np.ldexp(u, -e)
-    det = 1.0
+    det, exp = 1.0, 0                   # the pivot product is det * 2^exp
     for k in range(n - 1):
         col = np.abs(u[k:, k])
         r = int(col.argmax())
@@ -64,9 +63,10 @@ def determinant(a) -> float:
         if r:
             u[[k, k + r], k:] = u[[k + r, k], k:]
             det = -det
-        det *= u[k, k]
+        det, e = math.frexp(det * u[k, k])
+        exp += e
         u[k + 1:, k + 1:] -= (u[k + 1:, k] / u[k, k])[:, None] * u[k, k + 1:]
-    return float(np.ldexp(det * u[n - 1, n - 1], e * n))
+    return float(np.ldexp(det * u[n - 1, n - 1], exp))
 
 
 def enumerate_subsets(n: int, m: int) -> list[tuple[int, ...]]:

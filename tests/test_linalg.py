@@ -323,6 +323,9 @@ def test_determinant_is_finite_for_finite_input():
     # zero last pivot made it nan, which the chain then kept as its last minor
     a = np.array([[2.0, 100.0, 100.0], [0.0, 1.0, 1.0], [1e307, 1.0, 1.0]])
     assert determinant(a) == 0.0
+    # the product is kept in range without rescaling A, whose small entries would underflow
+    assert determinant([[1e300, 0.0], [0.0, 1e-300]]) == 1e300 * 1e-300
+    assert determinant([[1e30, 0.0], [0.0, 1e-300]]) == 1e30 * 1e-300
     with np.errstate(over="ignore", invalid="ignore"):      # the chain's complement overflows
         assert _leading_minors(a).tolist() == [2.0, 2.0, 0.0]
 
