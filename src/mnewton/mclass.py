@@ -102,8 +102,9 @@ def classify(a, tol: float = 1e-9) -> MatrixClassReport:
     (not evaluated) otherwise.  ``witnesses`` are the minors of A whose
     scaled minors are <= ``tol`` in the exhaustive test (at most 4 per
     size), else the leading minors <= ``tol``.  The leading minors of A
-    are read off that tree for n <= P_TEST_MAX_N and come from one
-    elimination chain above it.  ``m_class`` distinguishes nonsingular
+    are read off that tree for n <= P_TEST_MAX_N, unless one of them is
+    zero or subnormal there, and come from one elimination chain
+    otherwise.  ``m_class`` distinguishes nonsingular
     M-matrices from members of the singular closure: a Z-matrix A is
     M-singular when A + eps*max|A|*I, with eps = SINGULAR_PROBE_SHIFT,
     passes the leading-minor test.
@@ -119,9 +120,16 @@ def classify(a, tol: float = 1e-9) -> MatrixClassReport:
         e = math.frexp(float(np.max(np.abs(mat))))[1]
         minors = principal_minors_by_mask(np.ldexp(mat, -e))
         # the leading-minor chain is the tree's all-include path, so det A[:k, :k]
-        # is read off the tree instead of running the chain again
+        # is read off the tree instead of running the chain again, unless a scaled
+        # leading minor is zero or subnormal and so may have lost bits to 2^-e
         k = np.arange(1, n + 1)
-        nonsing = is_z and not np.any(np.ldexp(minors[(1 << k) - 1], e * k) <= tol)
+        lead = minors[(1 << k) - 1]
+        if not is_z:
+            nonsing = False
+        elif np.all(np.abs(lead) >= np.finfo(float).tiny):
+            nonsing = not np.any(np.ldexp(lead, e * k) <= tol)
+        else:
+            nonsing = not _bad_leading_minors(mat, tol)
         bad = np.flatnonzero(minors[1:] <= tol) + 1      # masks of the nonempty sets
         is_p: bool | None = not bad.size
         witnesses = []

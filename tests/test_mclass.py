@@ -109,6 +109,7 @@ def test_p_test_reaches_twenty(n):
     assert rep.is_p is True and rep.m_class == NOT_M and not rep.witnesses
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")     # the probe overflows on wide copies
 def test_nonsingular_verdict_from_the_tree_is_the_chains(monkeypatch):
     # Up to P_TEST_MAX_N classify reads det A[:k, :k] off the P-test tree.  With
     # every matrix taken as a Z-matrix, its M-nonsingular verdict must be the
@@ -119,6 +120,10 @@ def test_nonsingular_verdict_from_the_tree_is_the_chains(monkeypatch):
         for n in range(1, P_TEST_MAX_N + 1):
             a = generate(GeneratorSpec(kind, n, n))
             cases += [a, 2.0 ** -30 * a, 1e-12 * a]
+            # wide range: scaled by 2^-e from max|A|, the leading minors underflow
+            d = np.logspace(20, -20, n)
+            cases.append(d[:, None] * a * d)
+    cases.append(np.diag([1e100, 1.0, 1.0, 1.0, 1.0, 1.0]))
     monkeypatch.setattr(mclass, "_z_violations", lambda a, tol: [])
     for a in cases:
         assert (classify(a).m_class == M_NONSINGULAR) == \
