@@ -104,10 +104,10 @@ def classify(a, tol: float = 1e-9) -> MatrixClassReport:
     size), else the leading minors <= ``tol``.  The leading minors of A
     are read off that tree for n <= P_TEST_MAX_N, unless one of them is
     zero or subnormal there, and come from one elimination chain
-    otherwise.  ``m_class`` distinguishes nonsingular
-    M-matrices from members of the singular closure: a Z-matrix A is
-    M-singular when A + eps*max|A|*I, with eps = SINGULAR_PROBE_SHIFT,
-    passes the leading-minor test.
+    otherwise.  ``m_class`` distinguishes nonsingular M-matrices from
+    members of the singular closure: a Z-matrix A is M-singular when
+    A + eps*max|A|*I, with eps = SINGULAR_PROBE_SHIFT, passes the
+    leading-minor test.
     """
     mat = as_matrix(a)
     n = mat.shape[0]

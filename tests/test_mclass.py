@@ -130,6 +130,16 @@ def test_nonsingular_verdict_from_the_tree_is_the_chains(monkeypatch):
             (not mclass._bad_leading_minors(a, 1e-9)), a.shape
 
 
+def test_rejected_leading_pivot_takes_the_tree_fallback_minor():
+    # D A D with A = [[2, -1], [-1, 2]] and D = diag(1, 1e40) is a nonsingular
+    # M-matrix with det 3e80.  Its first pivot is rejected; the chain then read
+    # the 2x2 minor from determinant, whose relative pivot rule gives 0.0, and
+    # the tree's fallback gives 3e80.
+    rep = classify([[2.0, -1e40], [-1e40, 2e80]])
+    assert rep.m_class == M_NONSINGULAR
+    assert rep.witnesses[-1] == ((1, 2), pytest.approx(3e80, rel=1e-14))
+
+
 def test_classify_runs_no_leading_minor_chain_up_to_the_p_test_cap(monkeypatch):
     calls = []
     chain = mclass._leading_minors
