@@ -17,7 +17,7 @@ _EXPORTS = {
     "errors": "InputError",
     "forms": "FormMatrix binomial_identity_sum build_form psd_check quadratic_apply "
              "structure_checks",
-    "linalg": "determinant enumerate_subsets principal_minors_all",
+    "linalg": "enumerate_subsets principal_minors_all",
     "mclass": "GeneratorSpec MatrixClassReport classify dual_minor_identity_check generate",
     "niep": "ScreeningReport construct_perturbed moments screen screen_many",
     "pairsums": "MinorPairSums SplitReport expansion_identity_check feasible_ratio_params "

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InputError
 
-# |pivot| <= PIVOT_RTOL * maxabs(pivot row) is treated as an exact zero.
+# _inverse reads A as singular at a pivot |p| <= PIVOT_RTOL * maxabs(pivot row).
 PIVOT_RTOL = 1e-13
 # the Schur-complement tree does not pivot: it rejects a pivot with
 # |pivot| <= TREE_PIVOT_RTOL * maxabs(pivot row), so an accepted step grows the
@@ -38,35 +38,6 @@ def as_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise InputError("matrix entries must be finite")
     return m
-
-
-def determinant(a) -> float:
-    """Determinant by row-pivoted triangular elimination.
-
-    1x1 input is returned exactly.  A pivot with
-    ``|pivot| <= 1e-13 * maxabs(pivot row)`` (a zero column included) is
-    treated as zero and the determinant is reported as exactly ``0.0``, so
-    nearly singular input degrades to the singular answer instead of
-    round-off noise.  The pivot product is carried as a mantissa and a
-    binary exponent, so it cannot overflow on the way to a finite
-    determinant, and the matrix itself is not rescaled, so no small entry
-    underflows.
-    """
-    u = as_matrix(a).copy()
-    n = u.shape[0]
-    det, exp = 1.0, 0                   # the pivot product is det * 2^exp
-    for k in range(n - 1):
-        col = np.abs(u[k:, k])
-        r = int(col.argmax())
-        if col[r] <= PIVOT_RTOL * np.abs(u[k + r, k:]).max():
-            return 0.0
-        if r:
-            u[[k, k + r], k:] = u[[k + r, k], k:]
-            det = -det
-        det, e = math.frexp(det * u[k, k])
-        exp += e
-        u[k + 1:, k + 1:] -= (u[k + 1:, k] / u[k, k])[:, None] * u[k, k + 1:]
-    return float(np.ldexp(det * u[n - 1, n - 1], exp))
 
 
 def enumerate_subsets(n: int, m: int) -> list[tuple[int, ...]]:
@@ -153,9 +124,7 @@ def _minor_tree(mat: np.ndarray, m: int | None = None) -> np.ndarray:
     given, the branches follow :func:`_colex_levels`: a set of size m is not
     extended, and one that can no longer reach m is dropped.  After a
     rejected pivot det A[S] * p is still exact, and the NaN minors below it
-    are recomputed by batched (row-pivoted) ``det`` on their blocks,
-    gathered from their own matrix and each brought to the binade of its
-    largest entry first, so every minor is exact under power-of-two scaling.
+    are recomputed by :func:`_block_minors`, one call per size.
     """
     n = mat.shape[0]
     levels = _colex_levels(n, m) if m is not None else \
@@ -173,20 +142,29 @@ def _minor_tree(mat: np.ndarray, m: int | None = None) -> np.ndarray:
     sizes = np.bitwise_count(sub)
     for r in set(sizes.tolist()):
         at = tuple(w[sizes == r] for w in where)
-        idx = _mask_elements(sub[sizes == r], n)
-        blocks = mat[(idx[:, :, None], idx[:, None, :]) + tuple(w[:, None, None] for w in at[1:])]
-        e = np.frexp(np.abs(blocks).max(axis=(1, 2), keepdims=True))[1]
-        minors[at] = np.ldexp(np.linalg.det(np.ldexp(blocks, -e)), e[:, 0, 0] * r)
+        minors[at] = _block_minors(mat, _mask_elements(sub[sizes == r], n), at[1:])
     return minors
 
 
+def _block_minors(mat: np.ndarray, idx: np.ndarray, at: tuple = ()) -> np.ndarray:
+    """det A[S] behind a rejected pivot, for the same-size index sets in the
+    rows of ``idx``: batched (row-pivoted) ``det`` on blocks gathered from
+    their own matrix of the stack (batch indices ``at``), each brought to the
+    binade of its largest entry, so every minor is exact under power-of-two
+    scaling."""
+    blocks = mat[(idx[:, :, None], idx[:, None, :]) + tuple(w[:, None, None] for w in at)]
+    e = np.frexp(np.abs(blocks).max(axis=(1, 2), keepdims=True))[1]
+    return np.ldexp(np.linalg.det(np.ldexp(blocks, -e)), e[:, 0, 0] * idx.shape[1])
+
+
 def _leading_minors(mat: np.ndarray) -> np.ndarray:
-    """det A[:k, :k] for k = 1..n: the all-include path of :func:`_minor_tree`.
+    """det A[:k, :k] for k = 1..n: the all-include path of :func:`_minor_tree`,
+    bit for bit, with no bitmask, so n is not capped at 64.
 
     Each leading minor is the previous one times the next pivot of
     :func:`_schur_step` on the one matrix, as in the tree.  After a
     rejected pivot the minor it ends is still exact, and the NaN minors after
-    it come from :func:`determinant` on their blocks.
+    it come from the tree's fallback, :func:`_block_minors`.
     """
     comp = mat
     pivots = []
@@ -195,8 +173,28 @@ def _leading_minors(mat: np.ndarray) -> np.ndarray:
         pivots.append(piv)
     minors = np.cumprod(pivots)
     for k in np.flatnonzero(np.isnan(minors)).tolist():
-        minors[k] = determinant(mat[:k + 1, :k + 1])
+        minors[k] = _block_minors(mat, np.arange(k + 1)[None])[0]
     return minors
+
+
+def _inverse(mat: np.ndarray) -> np.ndarray | None:
+    """inv(A), or None when A is singular: row-pivoted elimination meets a
+    pivot ``|p| <= PIVOT_RTOL * maxabs(pivot row)`` (the last one only if
+    zero), or LAPACK's inverse an exact zero pivot.  No pivot product is
+    formed, so an underflowing det A does not read as singular."""
+    u = mat.copy()
+    for k in range(len(u)):
+        col = np.abs(u[k:, k])
+        r = int(col.argmax())
+        if col[r] <= PIVOT_RTOL * np.abs(u[k + r, k:]).max():
+            return None
+        if r:
+            u[[k, k + r], k:] = u[[k + r, k], k:]
+        u[k + 1:, k + 1:] -= (u[k + 1:, k] / u[k, k])[:, None] * u[k, k + 1:]
+    try:
+        return np.linalg.inv(mat)
+    except np.linalg.LinAlgError:       # LAPACK met an exact zero pivot
+        return None
 
 
 def principal_minors_by_mask(a) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .defaults import DEFAULT_MARGIN, GENERATOR_KINDS
 from .errors import InputError
-from .linalg import _leading_minors, _minor_tree, as_matrix, determinant, principal_minors_by_mask
+from .linalg import _inverse, _leading_minors, _minor_tree, as_matrix, principal_minors_by_mask
 
 P_TEST_MAX_N = 20
 DUAL_CHECK_MAX_N = 20
@@ -83,13 +83,10 @@ def _is_inverse_m(a: np.ndarray, tol: float) -> bool:
     """A >= 0, nonsingular and inv(A) a Z-matrix: a Z-matrix is a nonsingular
     M-matrix iff its inverse is nonnegative (Berman & Plemmons, ch. 6); entries
     are judged against ``tol * max|A|``."""
-    if np.any(a < -tol * np.max(np.abs(a))) or determinant(a) == 0.0:
+    if np.any(a < -tol * np.max(np.abs(a))):
         return False
-    try:
-        inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError:
-        return False
-    return not _z_violations(inv, tol)
+    inv = _inverse(a)
+    return inv is not None and not _z_violations(inv, tol)
 
 
 def classify(a, tol: float = 1e-9) -> MatrixClassReport:
@@ -101,13 +98,15 @@ def classify(a, tol: float = 1e-9) -> MatrixClassReport:
     inferred from the leading minors when possible, and reported as None
     (not evaluated) otherwise.  ``witnesses`` are the minors of A whose
     scaled minors are <= ``tol`` in the exhaustive test (at most 4 per
-    size), else the leading minors <= ``tol``.  The leading minors of A
-    are read off that tree for n <= P_TEST_MAX_N, unless one of them is
-    zero or subnormal there, and come from one elimination chain
-    otherwise.  ``m_class`` distinguishes nonsingular M-matrices from
-    members of the singular closure: a Z-matrix A is M-singular when
-    A + eps*max|A|*I, with eps = SINGULAR_PROBE_SHIFT, passes the
-    leading-minor test.
+    size; one beyond the double range raises InputError), else the leading
+    minors <= ``tol``.  The leading minors of A are read off that tree for
+    n <= P_TEST_MAX_N, unless one of them is zero or subnormal there, and
+    come from its all-include path as one elimination chain otherwise.
+    ``m_class`` distinguishes nonsingular M-matrices from members of the
+    singular closure: a Z-matrix A is M-singular when A + eps*max|A|*I,
+    with eps = SINGULAR_PROBE_SHIFT, passes the leading-minor test.
+    ``is_inverse_m`` needs A >= 0 and inv(A) a Z-matrix, with singularity
+    decided by the pivot rule of ``linalg._inverse``, never by underflow.
     """
     mat = as_matrix(a)
     n = mat.shape[0]
@@ -138,7 +137,11 @@ def classify(a, tol: float = 1e-9) -> MatrixClassReport:
             for m in range(1, n + 1):
                 for mask in bad[sizes == m][:_MAX_WITNESSES_PER_SIZE].tolist():
                     alpha = tuple(i + 1 for i in range(n) if mask >> i & 1)
-                    witnesses.append((alpha, math.ldexp(float(minors[mask]), e * m)))
+                    with np.errstate(over="ignore"):
+                        minor = float(np.ldexp(minors[mask], e * m))
+                    if not math.isfinite(minor):
+                        raise InputError(f"principal minor of A on {alpha} overflows")
+                    witnesses.append((alpha, minor))
     else:
         witnesses = _bad_leading_minors(mat, tol) if is_z else []
         nonsing = is_z and not witnesses
@@ -207,12 +210,12 @@ def dual_minor_identity_check(a, tol: float = 1e-8) -> bool:
 
     Holds for every nonsingular matrix; checked exhaustively, so the order
     is capped at ``DUAL_CHECK_MAX_N``.  Returns True iff the worst relative
-    deviation is within ``tol``; a singular matrix (``determinant`` is
-    exactly 0.0 by its relative pivot test) or a non-finite deviation
-    (overflow in the minors or the determinant) raises InputError.
+    deviation is within ``tol``.  A singular matrix (by the pivot rule of
+    ``linalg._inverse``, as in ``classify``, or a det A of exactly 0.0) or a
+    non-finite deviation (overflow in the minors) raises InputError.
 
-    Both sides come from one Schur-complement tree over the stack
-    (inv(A), A), indexed by bitmask; the complement of mask S is
+    Both sides, and det A, come from one Schur-complement tree over the
+    stack (inv(A), A), indexed by bitmask; the complement of mask S is
     2^n - 1 - S, so reversing the minors of A lines each complement up
     with its set.
     """
@@ -220,15 +223,11 @@ def dual_minor_identity_check(a, tol: float = 1e-8) -> bool:
     n = mat.shape[0]
     if n > DUAL_CHECK_MAX_N:
         raise InputError(f"dual minor check capped at n <= {DUAL_CHECK_MAX_N}")
-    det = determinant(mat)
-    if det == 0.0:
+    inv = _inverse(mat)
+    minors = None if inv is None else _minor_tree(np.stack((inv, mat), axis=-1))
+    if minors is None or minors[-1, 1] == 0.0:
         raise InputError("matrix is singular (negligible pivot in elimination)")
-    try:
-        inv = np.linalg.inv(mat)
-    except np.linalg.LinAlgError:       # LAPACK met an exact zero pivot
-        raise InputError("matrix is singular (negligible pivot in elimination)") from None
-    minors = _minor_tree(np.stack((inv, mat), axis=-1))
-    lhs, rhs = minors[:, 0], minors[::-1, 1] / det
+    lhs, rhs = minors[:, 0], minors[::-1, 1] / minors[-1, 1]
     dev = np.abs(lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     if not np.all(np.isfinite(dev)):
         raise InputError(

@@ -1,6 +1,7 @@
-"""Helpers that only the tests use: scalar minors on 1-based index sets,
-batched and exact minors as oracles of the Schur-complement tree,
-brute-force and exact minor sums, polynomial roots by a companion matrix,
+"""Helpers that only the tests use: the row-pivoted determinant oracle,
+scalar minors on 1-based index sets, batched and exact minors as oracles
+of the Schur-complement tree, brute-force and exact minor sums,
+polynomial roots by a companion matrix,
 exact coefficients of a spectrum, the numpy-scalar conjugate pairing, a
 bitwise array comparison, subset incidence vectors, form eigenvalues
 through Eberlein polynomials, the float64-array form weights, and a
@@ -16,10 +17,39 @@ import numpy as np
 from mnewton.charcoeff import CLOSURE_RTOL, ensure_conjugate_closed
 from mnewton.errors import InputError
 from mnewton.forms import _lowest_overlap, _weight
-from mnewton.linalg import as_matrix, determinant, enumerate_subsets, subset_masks
+from mnewton.linalg import PIVOT_RTOL, as_matrix, enumerate_subsets, subset_masks
 
 # brute-force minor enumeration bound (2^n determinants); override allowed.
 EXHAUSTIVE_MINOR_CAP = 16
+
+
+def determinant(a) -> float:
+    """Determinant by row-pivoted triangular elimination.
+
+    1x1 input is returned exactly.  A pivot with
+    ``|pivot| <= 1e-13 * maxabs(pivot row)`` (a zero column included) is
+    treated as zero and the determinant is reported as exactly ``0.0``, so
+    nearly singular input degrades to the singular answer instead of
+    round-off noise.  The pivot product is carried as a mantissa and a
+    binary exponent, so it cannot overflow on the way to a finite
+    determinant, and the matrix itself is not rescaled, so no small entry
+    underflows.
+    """
+    u = as_matrix(a).copy()
+    n = u.shape[0]
+    det, exp = 1.0, 0                   # the pivot product is det * 2^exp
+    for k in range(n - 1):
+        col = np.abs(u[k:, k])
+        r = int(col.argmax())
+        if col[r] <= PIVOT_RTOL * np.abs(u[k + r, k:]).max():
+            return 0.0
+        if r:
+            u[[k, k + r], k:] = u[[k + r, k], k:]
+            det = -det
+        det, e = math.frexp(det * u[k, k])
+        exp += e
+        u[k + 1:, k + 1:] -= (u[k + 1:, k] / u[k, k])[:, None] * u[k, k + 1:]
+    return float(np.ldexp(det * u[n - 1, n - 1], exp))
 
 
 def validate_index_set(alpha, n: int) -> tuple[int, ...]:

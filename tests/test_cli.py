@@ -328,6 +328,7 @@ MALFORMED_INPUTS = {
     "big_entry.json": '{"n": 2, "rows": [[1, 0], [%s, 1]]}' % BEYOND_DOUBLES,
     "big_margin.json": '{"kind": "M", "n": 3, "seed": 1, "margin": %s}' % BEYOND_DOUBLES,
     "negative_seed.json": '{"kind": "M", "n": 3, "seed": -1}',
+    "witness_overflow.json": '{"n": 2, "rows": [[1e300, 1e300], [1e300, -1e300]]}',
     "binary.json": b"\xff\xfe{\x00}\x00",
     "deep.json": "[" * 100_000 + "]" * 100_000,
 }
@@ -336,6 +337,8 @@ MALFORMED_CALLS = [
     (["niep-screen", "--spectrum", "big_value.json"], "field 'values[0]' is too large"),
     (["newton", "--spectrum", "big_value.json"], "field 'values[0]' is too large"),
     (["classify", "--input", "big_entry.json"], "field 'rows[1][0]' is too large"),
+    (["classify", "--input", "witness_overflow.json"],
+     "principal minor of A on (1, 2) overflows"),
     (["gen", "--input", "big_margin.json"], "field 'margin' is too large"),
     (["gen", "--input", "negative_seed.json"], "generator seed must be >= 0"),
     (["gen", "--kind", "M", "--n", "3", "--seed", "-5"], "generator seed must be >= 0"),

@@ -14,7 +14,6 @@ from mnewton.linalg import (
     _leading_minors,
     as_matrix,
     binomials,
-    determinant,
     enumerate_subsets,
     principal_minors_all,
     principal_minors_by_mask,
@@ -24,6 +23,7 @@ from mnewton.mclass import GeneratorSpec, generate
 
 from helpers import (
     companion_matrix,
+    determinant,
     dual_index_set,
     exact_minors_by_mask,
     minor_sums_exhaustive,
@@ -237,15 +237,22 @@ def test_minor_tree_matches_batched_det():
                     (kind, n, m)
 
 
-def _counting_determinant(monkeypatch):
-    """Route ``linalg.determinant`` through a wrapper; return its call list."""
+def _counting_block_minors(monkeypatch):
+    """Route ``linalg._block_minors``, the one rejected-pivot fallback, through
+    a wrapper; return the shapes of the index sets it is called with."""
     calls = []
+    block_minors = linalg._block_minors
 
-    def counted(a):
-        calls.append(np.shape(a))
-        return determinant(a)
-    monkeypatch.setattr(linalg, "determinant", counted)
+    def counted(mat, idx, at=()):
+        calls.append(idx.shape)
+        return block_minors(mat, idx, at)
+    monkeypatch.setattr(linalg, "_block_minors", counted)
     return calls
+
+
+def _tree_path(a):
+    """The all-include path of the tree: det A[:k, :k] for k = 1..n."""
+    return principal_minors_by_mask(a)[(1 << np.arange(1, a.shape[0] + 1)) - 1]
 
 
 def test_leading_minor_chain_is_the_all_include_path(monkeypatch):
@@ -261,38 +268,39 @@ def test_leading_minor_chain_is_the_all_include_path(monkeypatch):
             cases += [a, a + 1e-8 * np.max(np.abs(a)) * np.eye(n)]
     wants = [np.array([determinant(a[:k, :k]) for k in range(1, a.shape[0] + 1)])
              for a in cases]
-    calls = _counting_determinant(monkeypatch)
+    calls = _counting_block_minors(monkeypatch)
     for a, want in zip(cases, wants):
         n = a.shape[0]
         got = _leading_minors(a)
         below = np.concatenate(([1.0], np.abs(want[:-1]))) * np.max(np.abs(a))
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), below)), n
         if n <= 16:
-            path = principal_minors_by_mask(a)[(1 << np.arange(1, n + 1)) - 1]
-            assert got.tolist() == path.tolist(), n
+            assert got.tobytes() == _tree_path(a).tobytes(), n
     assert not calls        # no pivot of these matrices is rejected
 
 
 def test_leading_minor_chain_falls_back_after_a_rejected_pivot(monkeypatch):
-    # det A[{1,2}] = 1 * 0 ends the chain exactly; det A[{1,2,3}] = -3 is row-pivoted
+    # det A[{1,2}] = 1 * 0 ends the chain exactly; det A[{1,2,3}] = -3 comes
+    # from the tree's fallback, as in the tree
     mid = np.array([[1.0, 1.0, 2.0], [1.0, 1.0, 3.0], [2.0, 5.0, 1.0]])
-    calls = _counting_determinant(monkeypatch)
-    assert _leading_minors(mid).tolist() == [1.0, 0.0, determinant(mid)]
-    assert calls == [(3, 3)]
+    path = _tree_path(mid)
+    calls = _counting_block_minors(monkeypatch)
+    got = _leading_minors(mid)
+    assert got.tolist() == [1.0, 0.0, -3.0000000000000013]
+    assert got.tobytes() == path.tobytes()
+    assert calls == [(1, 3)]
     # tiny first pivots delta = 10^-k: delta <= 1e-2 * max|row 1| from k = 2 on,
-    # and the minors after it are those of the row-pivoted determinant
+    # and the minors after it come from the fallback, one call per minor
     for k in range(1, 13):
         a = _tiny_first_pivot(10.0 ** -k)
+        path = _tree_path(a)
         calls.clear()
         got = _leading_minors(a)
         exact = [float(exact_minors_by_mask(a)[mask]) for mask in (0b1, 0b11, 0b111)]
         assert got[0] == a[0, 0]
         assert got.tolist() == pytest.approx(exact, rel=1e-8), k
-        if k >= 2:
-            assert calls == [(2, 2), (3, 3)], k
-            assert got[1:].tolist() == [determinant(a[:2, :2]), determinant(a)], k
-        else:
-            assert not calls
+        assert got.tobytes() == path.tobytes(), k
+        assert calls == ([(1, 2), (1, 3)] if k >= 2 else []), k
 
 
 def test_stacked_tree_is_the_per_matrix_trees():

@@ -1,11 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mnewton import mclass
 from mnewton.errors import InputError
-from mnewton.linalg import determinant, principal_minors_by_mask
+from mnewton.linalg import principal_minors_by_mask
 from mnewton.mclass import (
     GENERATOR_KINDS,
     M_NONSINGULAR,
@@ -18,6 +19,8 @@ from mnewton.mclass import (
     generate,
     well_conditioned_transform,
 )
+
+from helpers import determinant, exact_determinant
 
 
 def test_classify_nonsingular_m():
@@ -132,12 +135,22 @@ def test_nonsingular_verdict_from_the_tree_is_the_chains(monkeypatch):
 
 def test_rejected_leading_pivot_takes_the_tree_fallback_minor():
     # D A D with A = [[2, -1], [-1, 2]] and D = diag(1, 1e40) is a nonsingular
-    # M-matrix with det 3e80.  Its first pivot is rejected; the chain then read
-    # the 2x2 minor from determinant, whose relative pivot rule gives 0.0, and
-    # the tree's fallback gives 3e80.
+    # M-matrix with det 3e80.  Its first pivot is rejected, and the tree's
+    # fallback gives 3e80 where a row-relative pivot rule would give 0.0.
     rep = classify([[2.0, -1e40], [-1e40, 2e80]])
     assert rep.m_class == M_NONSINGULAR
     assert rep.witnesses[-1] == ((1, 2), pytest.approx(3e80, rel=1e-14))
+
+
+def test_wide_range_m_beyond_the_p_test_cap_is_nonsingular():
+    # D A D of a generated M-matrix at n = 21 with d = 10^U(-8, 8): the chain
+    # rejects its first pivot, and the tree's fallback gives every later
+    # leading minor above tol
+    d = 10.0 ** np.random.default_rng(21).uniform(-8, 8, 21)
+    a = d[:, None] * generate(GeneratorSpec("M", 21, 0)) * d
+    exact = [[Fraction(float(x)) for x in row] for row in a]
+    assert min(exact_determinant([row[:k] for row in exact[:k]]) for k in range(1, 22)) > 1.4e10
+    assert classify(a).m_class == M_NONSINGULAR
 
 
 def test_classify_runs_no_leading_minor_chain_up_to_the_p_test_cap(monkeypatch):
@@ -173,21 +186,25 @@ def test_generate_inverse_m_classifies_inverse_m():
 
 
 def test_inverse_m_detected_beyond_unit_determinant():
-    # det(inverse-M) = 1/det(M) drops below any absolute tolerance as n grows
-    for n in (12, 16, 24, 32):
-        a = generate(GeneratorSpec("inverse-M", n, 0))
+    # det(inverse-M) = 1/det(M) drops below any absolute tolerance as n grows;
+    # at n = 200 the pivot product underflows to 0.0, which must not read as singular
+    for n, seed in ((12, 0), (16, 0), (24, 0), (32, 0), (200, 1)):
+        a = generate(GeneratorSpec("inverse-M", n, seed))
         assert abs(determinant(a)) < 1e-9
         assert classify(a).is_inverse_m, n
 
 
 def test_inverse_m_verdict_scale_invariant():
+    # at n >= 32 the pivot product of 2^-40 A or 1e-12 A underflows for
+    # inverse-M A (M kinds that large are left out: 2^40 A overflows their
+    # leading minors)
     for seed in range(6):
-        n = 3 + seed
-        for kind in ("inverse-M", "M"):
+        cases = [("inverse-M", 3 + seed), ("M", 3 + seed)]
+        for kind, n in cases + [("inverse-M", n) for n in (32, 48, 64)]:
             a = generate(GeneratorSpec(kind, n, seed))
             want = classify(a).is_inverse_m
             assert want == (kind == "inverse-M")
-            for s in (2.0 ** -40, 2.0 ** 40):
+            for s in (2.0 ** -40, 2.0 ** 40, 1e-12):
                 assert classify(s * a).is_inverse_m == want, (kind, n, s)
 
 
@@ -380,8 +397,8 @@ def test_dual_minor_identity_rejects_singular_and_oversized():
 
 
 def test_dual_minor_identity_singular_inverse_is_input_error():
-    # determinant reads -3.5e-11, which its relative pivot rule keeps, while
-    # LAPACK's inverse meets an exact zero pivot
+    # row-pivoted elimination keeps every pivot (their product is -3.5e-11),
+    # while LAPACK's inverse meets an exact zero pivot
     a = generate(GeneratorSpec("singular-M", 9, 383480188))
     with pytest.raises(InputError, match="matrix is singular"):
         dual_minor_identity_check(a)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mnewton.errors import InputError
-from mnewton.linalg import determinant, principal_minors_all, subset_masks
+from mnewton.linalg import principal_minors_all, subset_masks
 from mnewton.mclass import GeneratorSpec, generate
 from mnewton.pairsums import (
     MinorPairSums,
@@ -18,6 +18,8 @@ from mnewton.pairsums import (
     pointwise_check,
     ratio_check,
 )
+
+from helpers import determinant
 
 
 def dense_profile(minors, m1, m2):

@@ -88,7 +88,7 @@ def test_integers_beyond_the_doubles_name_their_field(read, record, field):
     assert str(exc.value) == f"field {field!r} is too large for a float"
 
 
-def test_spectrum_roundtrip_and_bare_reals():
+def test_spectrum_reads_pairs_and_bare_reals():
     d = {"values": [[1.0, 2.0], [1.0, -2.0], 3.0]}
     vals = spectrum_from_dict(d)
     assert np.allclose(vals, [1 + 2j, 1 - 2j, 3.0])
