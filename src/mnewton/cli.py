@@ -55,8 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     sf.add_argument("--input", required=True, help="matrix JSON file")
     sf.add_argument("--m", type=int, help="split size m (all feasible when omitted)")
     sf.add_argument("--k", type=int, help="overlap k (all feasible when omitted)")
-    sf.add_argument("--override-caps", action="store_true",
-                    help="lift the matrix order cap on the pair sums")
 
     fo = sub.add_parser("forms", parents=common,
                         help="build a subset-overlap form, check PSD and structure")
@@ -139,7 +137,7 @@ def _cmd_newton(args):
 def _cmd_sfunc(args):
     from . import pairsums
     a = _load_matrix(args.input)
-    sums = pairsums.MinorPairSums(a, override_cap=args.override_caps)
+    sums = pairsums.MinorPairSums(a)
     n = sums.n
     if args.k is not None and args.m is None:
         raise InputError("flag --k requires --m")

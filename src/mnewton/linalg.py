@@ -25,6 +25,8 @@ PIVOT_RTOL = 1e-13
 # |pivot| <= TREE_PIVOT_RTOL * maxabs(pivot row), so an accepted step grows the
 # complement's entries by at most a factor 1 + 1 / TREE_PIVOT_RTOL.
 TREE_PIVOT_RTOL = 1e-2
+# at most this many minors or subsets per call: 2^22 minors take 32 MiB
+MINOR_CAP = 1 << 22
 
 
 def as_matrix(a) -> np.ndarray:
@@ -72,10 +74,13 @@ def _colex_levels(n: int, m: int):
     {0..k-1}, ``stay`` selects those that can still reach size m without
     element k and ``grow`` those below size m, and ``masks`` is
     ``[masks[stay], masks[grow] | bit k]``.  After the last level the masks
-    are the size-m subsets in colex order.
+    are the size-m subsets in colex order.  Each mask extends to a distinct
+    size-m set, so C(n, m) > ``MINOR_CAP`` is refused before the first level.
     """
     if n > 64:
         raise InputError("bitmask subset encoding supports n <= 64")
+    if math.comb(n, m) > MINOR_CAP:
+        raise InputError(f"C({n}, {m}) subsets exceed the cap of 2^22 per call")
     masks = np.zeros(1, dtype=np.uint64)
     for k in range(n):
         size = np.bitwise_count(masks)
@@ -127,6 +132,8 @@ def _minor_tree(mat: np.ndarray, m: int | None = None) -> np.ndarray:
     are recomputed by :func:`_block_minors`, one call per size.
     """
     n = mat.shape[0]
+    if m is None and 1 << n > MINOR_CAP:
+        raise InputError(f"2^{n} principal minors exceed the cap of 2^22 per call")
     levels = _colex_levels(n, m) if m is not None else \
         itertools.repeat((slice(None), slice(None), None), n)
     minors = np.ones((1,) + mat.shape[2:])
@@ -151,10 +158,21 @@ def _block_minors(mat: np.ndarray, idx: np.ndarray, at: tuple = ()) -> np.ndarra
     rows of ``idx``: batched (row-pivoted) ``det`` on blocks gathered from
     their own matrix of the stack (batch indices ``at``), each brought to the
     binade of its largest entry, so every minor is exact under power-of-two
-    scaling."""
+    scaling.  A scaled ``det`` that underflows (zero or subnormal) is rebuilt
+    from ``slogdet`` as mantissa * 2^k unless its sign is 0, an exact zero."""
     blocks = mat[(idx[:, :, None], idx[:, None, :]) + tuple(w[:, None, None] for w in at)]
     e = np.frexp(np.abs(blocks).max(axis=(1, 2), keepdims=True))[1]
-    return np.ldexp(np.linalg.det(np.ldexp(blocks, -e)), e[:, 0, 0] * idx.shape[1])
+    scaled = np.ldexp(blocks, -e)
+    det = np.linalg.det(scaled)
+    k = np.zeros_like(e[:, 0, 0])
+    lost = np.abs(det) < np.finfo(float).tiny
+    if lost.any():
+        sign, logdet = np.linalg.slogdet(scaled[lost])
+        log2 = np.where(sign != 0.0, logdet / np.log(2.0), 0.0)
+        k[lost] = np.floor(log2)
+        det[lost] = np.where(sign != 0.0, sign * np.exp2(log2 - k[lost]), det[lost])
+    with np.errstate(over="ignore"):
+        return np.ldexp(det, k + e[:, 0, 0] * idx.shape[1])
 
 
 def _leading_minors(mat: np.ndarray) -> np.ndarray:
@@ -171,7 +189,8 @@ def _leading_minors(mat: np.ndarray) -> np.ndarray:
     for _ in range(mat.shape[0]):
         piv, comp = _schur_step(comp)
         pivots.append(piv)
-    minors = np.cumprod(pivots)
+    with np.errstate(over="ignore"):    # to +-inf with the exact sign
+        minors = np.cumprod(pivots)
     for k in np.flatnonzero(np.isnan(minors)).tolist():
         minors[k] = _block_minors(mat, np.arange(k + 1)[None])[0]
     return minors
@@ -202,7 +221,8 @@ def principal_minors_by_mask(a) -> np.ndarray:
     S with bit i-1 set for element i (the empty set gives 1.0).
 
     Read off one Schur-complement tree; selecting one popcount gives that
-    size's minors in colex order.
+    size's minors in colex order.  Over ``MINOR_CAP`` minors (n > 22) it raises
+    InputError before anything is allocated.
     """
     return _minor_tree(as_matrix(a))
 
@@ -212,6 +232,7 @@ def principal_minors_all(a, m: int) -> np.ndarray:
 
     The same tree as :func:`principal_minors_by_mask`, restricted to the
     branches that can end at size m, so small m at large n stays cheap.
+    C(n, m) > ``MINOR_CAP`` raises InputError before anything is allocated.
     """
     mat = as_matrix(a)
     n = mat.shape[0]

@@ -18,8 +18,7 @@ from .defaults import DEFAULT_MARGIN, GENERATOR_KINDS
 from .errors import InputError
 from .linalg import _inverse, _leading_minors, _minor_tree, as_matrix, principal_minors_by_mask
 
-P_TEST_MAX_N = 20
-DUAL_CHECK_MAX_N = 20
+P_TEST_MAX_N = 20      # classify's exhaustive P test: a cost cutoff, not a memory limit
 # relative shift probed when deciding membership in the singular-M closure
 SINGULAR_PROBE_SHIFT = 1e-8
 
@@ -98,8 +97,8 @@ def classify(a, tol: float = 1e-9) -> MatrixClassReport:
     inferred from the leading minors when possible, and reported as None
     (not evaluated) otherwise.  ``witnesses`` are the minors of A whose
     scaled minors are <= ``tol`` in the exhaustive test (at most 4 per
-    size; one beyond the double range raises InputError), else the leading
-    minors <= ``tol``.  The leading minors of A are read off that tree for
+    size), else the leading minors <= ``tol``; a witness beyond the double
+    range raises InputError.  The leading minors of A are read off that tree for
     n <= P_TEST_MAX_N, unless one of them is zero or subnormal there, and
     come from its all-include path as one elimination chain otherwise.
     ``m_class`` distinguishes nonsingular M-matrices from members of the
@@ -138,14 +137,15 @@ def classify(a, tol: float = 1e-9) -> MatrixClassReport:
                 for mask in bad[sizes == m][:_MAX_WITNESSES_PER_SIZE].tolist():
                     alpha = tuple(i + 1 for i in range(n) if mask >> i & 1)
                     with np.errstate(over="ignore"):
-                        minor = float(np.ldexp(minors[mask], e * m))
-                    if not math.isfinite(minor):
-                        raise InputError(f"principal minor of A on {alpha} overflows")
-                    witnesses.append((alpha, minor))
+                        witnesses.append((alpha, float(np.ldexp(minors[mask], e * m))))
     else:
         witnesses = _bad_leading_minors(mat, tol) if is_z else []
         nonsing = is_z and not witnesses
         is_p = True if nonsing else None
+
+    for alpha, minor in witnesses:
+        if not math.isfinite(minor):
+            raise InputError(f"principal minor of A on {alpha} overflows")
 
     # singular closure: once A + t*I is a nonsingular M-matrix, every leading minor
     # of A + s*I grows with s >= t (Berman & Plemmons, ch. 6), so the smallest
@@ -208,8 +208,9 @@ def generate(spec: GeneratorSpec) -> np.ndarray:
 def dual_minor_identity_check(a, tol: float = 1e-8) -> bool:
     """Verify inv(A)[alpha] == A[complement(alpha)] / det A over all alpha.
 
-    Holds for every nonsingular matrix; checked exhaustively, so the order
-    is capped at ``DUAL_CHECK_MAX_N``.  Returns True iff the worst relative
+    Holds for every nonsingular matrix; checked exhaustively over the 2^n
+    subsets, so the kernel's cap of ``linalg.MINOR_CAP`` = 2^22 minors per
+    call limits n to 22.  Returns True iff the worst relative
     deviation is within ``tol``.  A singular matrix (by the pivot rule of
     ``linalg._inverse``, as in ``classify``, or a det A of exactly 0.0) or a
     non-finite deviation (overflow in the minors) raises InputError.
@@ -220,9 +221,6 @@ def dual_minor_identity_check(a, tol: float = 1e-8) -> bool:
     with its set.
     """
     mat = as_matrix(a)
-    n = mat.shape[0]
-    if n > DUAL_CHECK_MAX_N:
-        raise InputError(f"dual minor check capped at n <= {DUAL_CHECK_MAX_N}")
     inv = _inverse(mat)
     minors = None if inv is None else _minor_tree(np.stack((inv, mat), axis=-1))
     if minors is None or minors[-1, 1] == 0.0:

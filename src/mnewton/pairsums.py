@@ -12,7 +12,6 @@ The split checks and the expansion identity read only the
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,8 +21,6 @@ import numpy as np
 from .charcoeff import normalized_coeffs
 from .errors import InputError
 from .linalg import as_matrix, principal_minors_by_mask
-
-PAIR_SUM_ORDER_CAP = 22
 
 
 def feasible_pair_params(n: int, m1: int, m2: int, k: int) -> bool:
@@ -59,9 +56,12 @@ class MinorPairSums:
     ``S_t = sum_k C(k,t) P_k``, and the binomial inversion
     ``P_k = sum_{t>=k} (-1)^(t-k) C(t,k) S_t`` gives the overlap profile
     P.  All 2^n minors come from one Schur-complement tree, indexed by
-    bitmask.  The up-sums of size m live in one array of 2^n floats: the
-    size-m minors sit at the masks of popcount m, and one superset-sum
-    (Yates zeta) pass, ``f[mask] += f[mask | bit]`` for each bit, counts
+    bitmask and built with the object, so the kernel's cap of
+    ``linalg.MINOR_CAP`` = 2^22 minors per call limits n to 22: a larger
+    matrix raises InputError before anything is allocated.  The up-sums of
+    size m live in one array of 2^n floats: the size-m minors sit at the
+    masks of popcount m, and one superset-sum (Yates zeta) pass,
+    ``f[mask] += f[mask | bit]`` for each bit, counts
     every superset once in n*2^(n-1) additions.  Transforming size m keeps
     only the cached sizes within one of m, so at most three are held, and
     the split checks, walking m upward, transform each size once; every
@@ -69,22 +69,15 @@ class MinorPairSums:
     sums.
     """
 
-    def __init__(self, a, override_cap: bool = False):
+    def __init__(self, a):
         self.matrix = as_matrix(a)
         self.n = self.matrix.shape[0]
-        if self.n > PAIR_SUM_ORDER_CAP and not override_cap:
-            raise InputError(
-                f"pair sums capped at n <= {PAIR_SUM_ORDER_CAP} "
-                "(memory is about 6*2^n floats); "
-                "pass override_cap=True to force")
+        # an overflowing minor surfaces as profile's InputError, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._minors = principal_minors_by_mask(self.matrix)
         self._sizes = np.bitwise_count(np.arange(1 << self.n))   # popcount of each mask
         self._ups: dict[int, np.ndarray] = {}
         self._profiles: dict[tuple[int, int], np.ndarray] = {}
-
-    @functools.cached_property
-    def _minors(self) -> np.ndarray:
-        """All 2^n principal minors, indexed by bitmask (built on first use)."""
-        return principal_minors_by_mask(self.matrix)
 
     def _up_sums(self, m: int) -> np.ndarray:
         """U(g) = sum of the size-m minors over the supersets of g, at every mask g."""

@@ -1,8 +1,11 @@
+import argparse
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import mnewton
+from mnewton.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(mnewton.__file__).resolve().parent
@@ -73,3 +76,15 @@ def test_readme_library_sketch_gives_the_values_its_comments_state():
         else:
             exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
     assert stated == [(True, 0.0), False, -60.0]
+
+
+def test_readme_command_line_flags_are_parser_options():
+    # a flag the docs name but no subcommand accepts is a stale doc
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    options = {opt for parser in sub.choices.values() for opt in parser._option_string_actions}
+    assert "--format" in flags and "--export-csv" in flags
+    assert sorted(flags - options) == []

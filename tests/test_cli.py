@@ -161,12 +161,12 @@ def test_forms_overflowing_eigenvalue_exits_two(capsys):
     assert "(n, m) = (1040, 520)" in err and "tilde_phi" in err and "overflows" in err
 
 
-def test_override_caps_only_on_sfunc(capsys, m_matrix_file):
-    code, out, _ = run(capsys, ["sfunc", "--input", m_matrix_file, "--override-caps"])
-    assert code == EXIT_OK and json.loads(out)["holds"] is True
-    code, _, err = run(capsys, ["classify", "--input", m_matrix_file, "--override-caps"])
-    assert code == EXIT_USAGE
-    assert "--override-caps" in err
+def test_override_caps_flag_is_gone(capsys, m_matrix_file):
+    # the minor count is capped in linalg, with no switch to lift it
+    for command in ("sfunc", "classify"):
+        code, out, err = run(capsys, [command, "--input", m_matrix_file, "--override-caps"])
+        assert code == EXIT_USAGE and out == ""
+        assert "--override-caps" in err
 
 
 def test_identity_command(capsys):
@@ -329,6 +329,9 @@ MALFORMED_INPUTS = {
     "big_margin.json": '{"kind": "M", "n": 3, "seed": 1, "margin": %s}' % BEYOND_DOUBLES,
     "negative_seed.json": '{"kind": "M", "n": 3, "seed": -1}',
     "witness_overflow.json": '{"n": 2, "rows": [[1e300, 1e300], [1e300, -1e300]]}',
+    # 1e30 (I - J) at n = 21, beyond the P test: det of its leading k x k block
+    # is (1 - k) 1e30^k, so the leading-minor witnesses overflow from k = 11
+    "leading_overflow.json": json.dumps({"n": 21, "rows": (1e30 * (np.eye(21) - 1.0)).tolist()}),
     "binary.json": b"\xff\xfe{\x00}\x00",
     "deep.json": "[" * 100_000 + "]" * 100_000,
 }
@@ -339,6 +342,8 @@ MALFORMED_CALLS = [
     (["classify", "--input", "big_entry.json"], "field 'rows[1][0]' is too large"),
     (["classify", "--input", "witness_overflow.json"],
      "principal minor of A on (1, 2) overflows"),
+    (["classify", "--input", "leading_overflow.json"],
+     f"principal minor of A on {tuple(range(1, 12))} overflows"),
     (["gen", "--input", "big_margin.json"], "field 'margin' is too large"),
     (["gen", "--input", "negative_seed.json"], "generator seed must be >= 0"),
     (["gen", "--kind", "M", "--n", "3", "--seed", "-5"], "generator seed must be >= 0"),

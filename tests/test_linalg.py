@@ -19,7 +19,8 @@ from mnewton.linalg import (
     principal_minors_by_mask,
     subset_masks,
 )
-from mnewton.mclass import GeneratorSpec, generate
+from mnewton.mclass import GeneratorSpec, dual_minor_identity_check, generate
+from mnewton.pairsums import MinorPairSums
 
 from helpers import (
     companion_matrix,
@@ -354,6 +355,49 @@ def test_small_size_minors_at_forty_stay_small():
     for m in (-1, 5):
         with pytest.raises(InputError, match=r"minor size -?\d out of range 0\.\.3"):
             principal_minors_all(np.eye(3), m)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: principal_minors_by_mask(np.eye(23)),
+    lambda: principal_minors_all(np.eye(40), 20),
+    lambda: subset_masks(40, 20),
+    lambda: enumerate_subsets(40, 20),
+    lambda: MinorPairSums(np.eye(23)),
+    lambda: dual_minor_identity_check(np.eye(23)),
+])
+def test_minor_cap_refuses_before_allocating(call):
+    # 2^23 minors take 64 MiB, and C(40, 20) = 1.4e11 of them 1.1 TB
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match=r"exceed the cap of 2\^22 per call"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_minor_cap_admits_its_bound():
+    assert linalg.MINOR_CAP == 2 ** 22
+    assert subset_masks(64, 4).size == math.comb(64, 4)
+    assert subset_masks(24, 12).size == math.comb(24, 12) <= linalg.MINOR_CAP
+    with pytest.raises(InputError, match="cap"):
+        subset_masks(64, 5)             # C(64, 5) = 7.6e6
+
+
+def test_fallback_minor_rebuilds_an_underflowed_det_from_its_log():
+    # The zero first pivot sends every leading minor to the fallback.  Scaled
+    # to the binade of the largest entry (1e150), the 4 x 4 block's det is
+    # about 1e-320, a subnormal with a few bits left; det A = -1e280.  Scaling
+    # A by 2^-40 moves it by exactly 2^-160.
+    a = np.zeros((4, 4))
+    a[0, 1] = a[1, 0] = 1e150
+    a[2, 2] = a[3, 3] = 1e-10
+    got = _leading_minors(a)
+    assert got[-1] == pytest.approx(-1e280, rel=1e-12)
+    assert _leading_minors(2.0 ** -40 * a)[-1] == np.ldexp(got[-1], -160)
+    # an exactly singular block keeps its exact zero
+    assert _leading_minors(np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 2.0]]))[-1] == 0.0
 
 
 def test_enumerate_subsets_examples():

@@ -153,6 +153,25 @@ def test_wide_range_m_beyond_the_p_test_cap_is_nonsingular():
     assert classify(a).m_class == M_NONSINGULAR
 
 
+def test_wide_range_fallback_minor_does_not_underflow():
+    # D A D of generate(M, 23, 1) with d = 10^U(-8, 8): scaled by its largest
+    # entry, the 23rd leading block's det underflows, so the fallback rebuilds
+    # it from slogdet instead of reading 0.0
+    d = 10.0 ** np.random.default_rng([23, 1, 8]).uniform(-8, 8, 23)
+    a = d[:, None] * generate(GeneratorSpec("M", 23, 1)) * d
+    exact = exact_determinant([[Fraction(float(x)) for x in row] for row in a])
+    assert mclass._leading_minors(a)[-1] == pytest.approx(float(exact), rel=1e-12)
+    assert classify(a).m_class == M_NONSINGULAR
+
+
+def test_leading_minors_beyond_the_double_range_keep_their_verdict():
+    # the pivots of 2^40 A are near 2.4e13, so the chain's product overflows to
+    # +inf, which is above tol: no RuntimeWarning, and the verdict stands
+    a = 2.0 ** 40 * generate(GeneratorSpec("M", 32, 0))
+    assert np.isposinf(mclass._leading_minors(a)[-1])
+    assert classify(a).m_class == M_NONSINGULAR
+
+
 def test_classify_runs_no_leading_minor_chain_up_to_the_p_test_cap(monkeypatch):
     calls = []
     chain = mclass._leading_minors
@@ -393,7 +412,11 @@ def test_dual_minor_identity_rejects_singular_and_oversized():
     with pytest.raises(InputError):
         dual_minor_identity_check(np.array([[1.0, -1.0], [-1.0, 1.0]]))
     with pytest.raises(InputError):
-        dual_minor_identity_check(np.eye(21))
+        dual_minor_identity_check(np.eye(23))
+
+
+def test_dual_minor_identity_reaches_order_twenty_one():
+    assert dual_minor_identity_check(generate(GeneratorSpec("M", 21, 0)))
 
 
 def test_dual_minor_identity_singular_inverse_is_input_error():

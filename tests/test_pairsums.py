@@ -80,7 +80,6 @@ def test_pair_sum_infeasible_is_zero():
 def test_pair_sum_order_cap():
     with pytest.raises(InputError):
         MinorPairSums(np.eye(23))
-    MinorPairSums(np.eye(23), override_cap=True)
 
 
 def test_pair_sums_accept_order_twenty_one():
