@@ -11,10 +11,9 @@ import argparse
 import math
 import os
 import sys
-from pathlib import Path
 
-from . import forms, serialize
-from .defaults import DEFAULT_JLL_BOUND, DEFAULT_MARGIN, DEFAULT_MOMENT_K, GENERATOR_KINDS
+from . import serialize
+from .defaults import DEFAULT_JLL_BOUND, DEFAULT_MARGIN, DEFAULT_MOMENT_K, FORM_KINDS, GENERATOR_KINDS
 from .errors import InputError
 
 EXIT_OK = 0
@@ -60,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="build a subset-overlap form, check PSD and structure")
     fo.add_argument("--n", type=int, required=True)
     fo.add_argument("--m", type=int, required=True)
-    fo.add_argument("--kind", choices=forms.FORM_KINDS, default="psi")
+    fo.add_argument("--kind", choices=FORM_KINDS, default="psi")
     fo.add_argument("--export-csv", help="write the form entries as dense CSV")
     fo.add_argument("--export-json", help="write the form as JSON")
 
@@ -171,6 +170,7 @@ def _cmd_sfunc(args):
 
 
 def _cmd_forms(args):
+    from . import forms
     form = forms.build_form(args.n, args.m, args.kind)
     is_psd, min_eig = forms.psd_check(form, tol=max(args.tol, 1e-12))
     structure = forms.structure_checks(args.n, args.m, tol=max(args.tol, 1e-12))
@@ -199,6 +199,7 @@ def _cmd_forms(args):
 
 
 def _cmd_identity(args):
+    from . import forms
     total = forms.binomial_identity_sum(args.n, args.m)
     ok = total == 0
     return ok, {"command": "identity", "n": args.n, "m": args.m,
@@ -212,6 +213,7 @@ def _report_dict(rep, **tag) -> dict:
 
 
 def _cmd_niep_screen(args):
+    from pathlib import Path
     from . import niep
     path = Path(args.spectrum)
     if not path.is_dir():

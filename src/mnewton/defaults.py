@@ -5,3 +5,4 @@ DEFAULT_MOMENT_K = 20
 DEFAULT_JLL_BOUND = 30
 DEFAULT_MARGIN = 0.1      # generator diagonal-dominance surplus
 GENERATOR_KINDS = ("M", "inverse-M", "singular-M", "similarity-conjugated-M")
+FORM_KINDS = ("phi", "tilde_phi", "tilde_psi", "psi")

@@ -16,21 +16,22 @@ integer sum of O(m) terms.  The weights, the PSD and structure checks and
 the identity sum are Python floats, ints and Fractions, the same bits as
 float64 arrays would give, so none of them imports numpy.  Dense entries
 exist only for export, quadratic evaluation and test oracles.  They are
-laid out by one capped list of colex bitmasks; the exports read it as
-Python ints, and only the dense routes (``entries``, ``quadratic_apply``)
-import numpy.
+laid out by one capped list of colex bitmasks; the exports pack it into
+Python-int column bitmaps, and only the dense routes (``entries``,
+``quadratic_apply``) import numpy.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from types import SimpleNamespace
 
+from .defaults import FORM_KINDS
 from .errors import InputError
 
-FORM_KINDS = ("phi", "tilde_phi", "tilde_psi", "psi")
 FORM_DIMENSION_CAP = 5000
 
 
@@ -79,18 +80,17 @@ def _theta(n: int, m: int, kind: str, i: int) -> Fraction:
     return linear + Fraction(c * recip * math.factorial(i), math.factorial(k))
 
 
-@dataclass(frozen=True)
-class FormMatrix:
+class FormMatrix(namedtuple("FormMatrix", "n m kind")):
     """Form with entries f(|alpha & beta|) on the colex size-m subsets of {1..n}.
 
     Every such matrix lies in the Bose-Mesner algebra of the Johnson scheme
     J(n, m), so the m+1 overlap weights determine it and its spectrum is
     closed-form (Delsarte 1973).  Dense entries are built only on access.
+    A named tuple rather than a dataclass, so the numpy-free commands do not
+    import ``dataclasses`` (and ``inspect``) at start-up.
     """
 
-    n: int
-    m: int
-    kind: str
+    __slots__ = ()
 
     @property
     def dim(self) -> int:
@@ -170,14 +170,12 @@ def psd_check(form: FormMatrix, tol: float = 1e-8) -> tuple[bool, float]:
     return min_eig >= -tol * maxabs, min_eig
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    gramian_exact: bool        # phi == V V^T, as equal exact spectra
-    complement_exact: bool     # tilde_phi + phi == (m+1) * ones entrywise
-    reciprocal_max_dev: float  # tilde_psi vs entrywise 1 / tilde_phi
-    affine_max_dev: float      # psi vs (m+1)(n-m+1) tilde_psi - (n+1) * ones
-    null_vector_max: float     # max |psi @ e|, normalized by maxabs(psi)
-    ok: bool
+class StructureReport(SimpleNamespace):
+    """Fields in report order: gramian_exact (phi == V V^T, as equal exact
+    spectra), complement_exact (tilde_phi + phi == (m+1) * ones entrywise),
+    reciprocal_max_dev (tilde_psi vs entrywise 1 / tilde_phi), affine_max_dev
+    (psi vs (m+1)(n-m+1) tilde_psi - (n+1) * ones), null_vector_max (max
+    |psi @ e|, normalized by maxabs(psi)) and ok."""
 
 
 def structure_checks(n: int, m: int, tol: float = 1e-10) -> StructureReport:
@@ -206,8 +204,9 @@ def structure_checks(n: int, m: int, tol: float = 1e-10) -> StructureReport:
 
     ok = (gramian_exact and complement_exact and reciprocal_max_dev <= tol
           and affine_max_dev <= tol * psi_scale and null_vector_max <= tol)
-    return StructureReport(gramian_exact, complement_exact, reciprocal_max_dev,
-                           affine_max_dev, null_vector_max, ok)
+    return StructureReport(gramian_exact=gramian_exact, complement_exact=complement_exact,
+                           reciprocal_max_dev=reciprocal_max_dev, affine_max_dev=affine_max_dev,
+                           null_vector_max=null_vector_max, ok=ok)
 
 
 def binomial_identity_sum(n: int, m: int) -> Fraction:

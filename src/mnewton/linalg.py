@@ -106,7 +106,7 @@ def _schur_step(top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     row = np.abs(top[0])
     reject = row[0] <= TREE_PIVOT_RTOL * row.max(axis=0)
     marked = reject.any()
-    div = np.where(reject, 1.0, piv) if marked else piv
+    div = np.where(reject, np.inf, piv) if marked else piv   # zero products, no overflow
     comp = top[1:, 1:] - top[1:, :1] * (top[:1, 1:] / div)
     if marked:
         comp[..., reject] = np.nan

@@ -6,12 +6,15 @@ Wire formats:
   generator   {"kind": str, "n": int, "seed": int, "margin": real}
   form        {"n": int, "m": int, "kind": str, "entries": [[...], ...]}
 
-The form exports read the colex bitmasks as Python ints, one bit count per
-entry, so they import no numpy.  The CSV export is the ``csv.writer``
-default dialect without the writer: cells are repr floats, which never
-need quoting, joined by commas, and every row ends in ``\r\n``.  Matrix
-records import numpy when they are read or written, spectrum records
-(input only) when they are read.
+The form exports import no numpy and make one row at a time.  An entry
+depends only on the overlap |alpha_a & alpha_b|.  The column bitmap of
+element i is an int with one byte per colex subset, 1 where the subset
+holds i, and row a packs its overlaps as the sum of the bitmaps of a's
+elements: an overlap is at most m <= 63, so no byte carries.  The CSV export
+writes each row as it is made, in ``csv.writer``'s default dialect without
+the writer: repr floats, which never need quoting, joined by commas, and
+every row ends in ``\r\n``.  Matrix records import numpy when they are read
+or written, spectrum records (input only) when they are read.
 
 Reports are plain JSON values (str-keyed dicts, lists, tuples, str, int,
 float, bool, None), as the ``cli`` handlers build them; ``write_report``
@@ -30,7 +33,6 @@ from numbers import Integral, Real
 
 from .defaults import DEFAULT_MARGIN
 from .errors import InputError
-from .forms import FormMatrix, _dense_masks
 
 _INF = float("inf")
 _CONSTANTS = {None: "null", True: "true", False: "false"}
@@ -126,19 +128,23 @@ def generator_spec_from_dict(d):
     return GeneratorSpec(kind=kind, n=n, seed=seed, margin=margin)
 
 
-def _by_overlap(form: FormMatrix, cells: list) -> list:
-    """Rows of the dense form with entry (a, b) = cells[|alpha_a & alpha_b|]."""
+def _rows(form, cells):
+    """Rows of the dense form with entry (a, b) = cells[|alpha_a & alpha_b|], each an
+    iterator made when it is reached; the dimension cap is checked on the call."""
+    from .forms import _dense_masks
     masks = _dense_masks(form.n, form.m)
-    return [[cells[(a & b).bit_count()] for b in masks] for a in masks]
+    cols = [int.from_bytes(bytes(b >> i & 1 for b in masks), "little") for i in range(form.n)]
+    return (map(cells.__getitem__, sum(c for i, c in enumerate(cols) if a >> i & 1)
+                .to_bytes(len(masks), "little")) for a in masks)
 
 
-def form_to_dict(form: FormMatrix) -> dict:
+def form_to_dict(form) -> dict:
     return {"n": form.n, "m": form.m, "kind": form.kind,
-            "entries": _by_overlap(form, form.weights)}
+            "entries": list(map(list, _rows(form, form.weights)))}
 
 
-def form_to_csv(form: FormMatrix, path) -> None:
-    rows = _by_overlap(form, [repr(w) for w in form.weights])
+def form_to_csv(form, path) -> None:
+    rows = _rows(form, [repr(w) for w in form.weights])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.writelines(",".join(row) + "\r\n" for row in rows)
 

@@ -321,6 +321,20 @@ def test_niep_screen_overflow_warnings_do_not_grow_with_files(tmp_path):
     assert 0 < proc.stderr.count("RuntimeWarning") <= 6
 
 
+def test_classify_of_a_rejected_pivot_prints_no_warning(tmp_path):
+    # the zero first pivot's row times its column (1e400) is never formed
+    a = np.eye(21)
+    a[0, 0] = 0.0
+    a[2, 0] = a[0, 3] = -1e200
+    path = write_json(tmp_path / "a.json", matrix_to_dict(a))
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "mnewton.cli", "classify", "--input", path],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == EXIT_OK and proc.stderr == ""
+    assert json.loads(proc.stdout)["m_class"] == "M-singular"
+
+
 BEYOND_DOUBLES = "1" + "0" * 400       # an integer literal no double can hold
 
 MALFORMED_INPUTS = {

@@ -1,5 +1,6 @@
-"""numpy loads only for commands that do dense numerics, and every lazy
-package name resolves to its module's object in a fresh interpreter."""
+"""numpy loads only for commands that do dense numerics, the numpy-free
+commands load no ``dataclasses`` (nor the ``inspect`` it imports), and every
+lazy package name resolves to its module's object in a fresh interpreter."""
 
 import os
 import subprocess
@@ -8,11 +9,12 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-REPORT_NUMPY = """
+REPORT_MODULES = """
 import sys
 import mnewton, mnewton.cli
 {call}
-print("numpy" in sys.modules, file=sys.stderr)
+print(*sorted({{"numpy", "dataclasses", "inspect", "mnewton.forms"}} & set(sys.modules)),
+      file=sys.stderr)
 """
 
 RESOLVE_LAZILY = """
@@ -35,17 +37,19 @@ def _python(code: str, cwd: Path) -> str:
     return proc.stderr
 
 
-def _numpy_loaded(call: str, cwd: Path) -> bool:
-    return _python(REPORT_NUMPY.format(call=call), cwd).strip().splitlines()[-1] == "True"
+def _loaded(call: str, cwd: Path) -> set[str]:
+    """Which of numpy, dataclasses, inspect and mnewton.forms ``call`` leaves loaded."""
+    return set(_python(REPORT_MODULES.format(call=call), cwd).splitlines()[-1].split())
 
 
 def test_exact_commands_and_exports_run_without_numpy(tmp_path):
-    assert not _numpy_loaded("", tmp_path)
+    assert _loaded("", tmp_path) == set()
     for argv in (["forms", "--n", "14", "--m", "7"], ["identity", "--n", "400", "--m", "200"],
                  ["forms", "--n", "12", "--m", "6", "--kind", "tilde_psi",
                   "--export-csv", "f.csv", "--export-json", "f.json"]):
-        assert not _numpy_loaded(f"mnewton.cli.main({argv!r})", tmp_path), argv
+        assert _loaded(f"mnewton.cli.main({argv!r})", tmp_path) == {"mnewton.forms"}, argv
     assert (tmp_path / "f.csv").stat().st_size > 0 and (tmp_path / "f.json").stat().st_size > 0
-    # a command that does dense numerics still loads it
-    assert _numpy_loaded("mnewton.cli.main(['coeffs', '--spectrum', 'missing.json'])", tmp_path)
+    # a command that does dense numerics still loads numpy, and builds no form
+    loaded = _loaded("mnewton.cli.main(['coeffs', '--spectrum', 'missing.json'])", tmp_path)
+    assert "numpy" in loaded and "mnewton.forms" not in loaded
     _python(RESOLVE_LAZILY, tmp_path)

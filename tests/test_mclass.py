@@ -172,6 +172,17 @@ def test_leading_minors_beyond_the_double_range_keep_their_verdict():
     assert classify(a).m_class == M_NONSINGULAR
 
 
+def test_rejected_pivot_forms_no_overflowing_complement():
+    # n = 21, beyond the P test: the chain rejects the zero first pivot, whose row
+    # times its column (1e400) is never formed; the suite makes an overflow an error
+    a = np.eye(21)
+    a[0, 0] = 0.0
+    a[2, 0] = a[0, 3] = -1e200
+    rep = classify(a)
+    assert rep.m_class == M_SINGULAR and rep.is_p is None
+    assert rep.witnesses[:3] == [((1,), 0.0), ((1, 2), 0.0), ((1, 2, 3), 0.0)]
+
+
 def test_classify_runs_no_leading_minor_chain_up_to_the_p_test_cap(monkeypatch):
     calls = []
     chain = mclass._leading_minors

@@ -3,6 +3,7 @@ import enum
 import io
 import json
 import math
+import os
 import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
@@ -155,22 +156,35 @@ def test_form_exports(tmp_path):
 
 
 def test_form_exports_match_per_entry_writers(tmp_path):
-    # reference: one repr / float per dense entry, as csv.writer and json see them
-    for n in range(2, 9):
-        for m in range(1, n):
-            for kind in FORM_KINDS:
-                form = build_form(n, m, kind)
-                ref_csv, got_csv = tmp_path / "ref.csv", tmp_path / "got.csv"
-                with open(ref_csv, "w", newline="", encoding="utf-8") as fh:
-                    writer = csv.writer(fh)
-                    for row in form.entries:
-                        writer.writerow([repr(float(x)) for x in row])
-                form_to_csv(form, got_csv)
-                assert got_csv.read_bytes() == ref_csv.read_bytes(), (n, m, kind)
-                ref = {"n": n, "m": m, "kind": kind,
-                       "entries": [[float(x) for x in row] for row in form.entries]}
-                assert streamed(form_to_dict(form)) == dumps_oracle(ref) + "\n", (n, m, kind)
+    # reference: one repr / float per dense entry, as csv.writer and json see them;
+    # the packed rows' edges: bit 63 of a mask, an overlap of 63 in one byte and, for
+    # one kind (the packing does not depend on it), a C(13, 6) row of 1716 bytes
+    sizes = [(n, m) for n in range(2, 9) for m in range(1, n)] + [(64, 1), (64, 63)]
+    for n, m, kind in [(n, m, k) for n, m in sizes for k in FORM_KINDS] + [(13, 6, "tilde_psi")]:
+        form = build_form(n, m, kind)
+        entries = form.entries.tolist()
+        ref_csv, got_csv = tmp_path / "ref.csv", tmp_path / "got.csv"
+        with open(ref_csv, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            for row in entries:
+                writer.writerow([repr(x) for x in row])
+        form_to_csv(form, got_csv)
+        assert got_csv.read_bytes() == ref_csv.read_bytes(), (n, m, kind)
+        ref = {"n": n, "m": m, "kind": kind, "entries": entries}
+        assert streamed(form_to_dict(form)) == dumps_oracle(ref) + "\n", (n, m, kind)
     assert b"\r\n" in got_csv.read_bytes()
+
+
+def test_form_csv_export_holds_one_row():
+    # C(14, 7) = 3432: the dense cells alone would take about 100 MB
+    form = build_form(14, 7, "psi")
+    tracemalloc.start()
+    try:
+        form_to_csv(form, os.devnull)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
 
 
 def test_load_json_malformed(tmp_path):
