@@ -15,13 +15,12 @@ _EXPORTS = {
     "charcoeff": "NewtonReport coeffs_from_spectrum ensure_conjugate_closed newton_check "
                  "normalized_coeffs",
     "errors": "InputError",
-    "forms": "FormMatrix binomial_identity_sum build_form psd_check quadratic_apply "
-             "structure_checks",
+    "forms": "FormMatrix binomial_identity_sum build_form psd_check structure_checks",
     "linalg": "enumerate_subsets principal_minors_all",
     "mclass": "GeneratorSpec MatrixClassReport classify dual_minor_identity_check generate",
-    "niep": "ScreeningReport construct_perturbed moments screen screen_many",
-    "pairsums": "MinorPairSums SplitReport expansion_identity_check feasible_ratio_params "
-                "identity_pair_count pointwise_check ratio_check",
+    "niep": "ScreeningReport moments screen screen_many",
+    "pairsums": "MinorPairSums SplitReport feasible_ratio_params identity_pair_count "
+                "pointwise_check ratio_check",
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
 _SUBMODULES = (*_EXPORTS, "cli", "defaults", "serialize")

@@ -174,19 +174,14 @@ def _cmd_forms(args):
     form = forms.build_form(args.n, args.m, args.kind)
     is_psd, min_eig = forms.psd_check(form, tol=max(args.tol, 1e-12))
     structure = forms.structure_checks(args.n, args.m, tol=max(args.tol, 1e-12))
-    # both exports pass the cap check before a target is opened: one over the cap
-    # writes no file
-    exported = args.export_json and serialize.form_to_dict(form)
-    target = args.export_csv
-    try:
+    # both exports check the one cap before they open a file: one over the cap writes no file
+    for export, target in ((serialize.form_to_csv, args.export_csv),
+                           (serialize.form_to_json, args.export_json)):
         if target:
-            serialize.form_to_csv(form, target)
-        if exported:
-            target = args.export_json
-            with open(target, "w", encoding="utf-8") as fh:
-                serialize.write_report(exported, fh, end="")
-    except OSError as exc:
-        raise InputError(f"cannot write {target}: {exc}") from None
+            try:
+                export(form, target)
+            except OSError as exc:
+                raise InputError(f"cannot write {target}: {exc}") from None
     ok = is_psd and structure.ok
     return ok, {
         "command": "forms",

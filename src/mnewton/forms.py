@@ -15,10 +15,9 @@ so every exact Johnson-scheme eigenvalue, of all four kinds, is one
 integer sum of O(m) terms.  The weights, the PSD and structure checks and
 the identity sum are Python floats, ints and Fractions, the same bits as
 float64 arrays would give, so none of them imports numpy.  Dense entries
-exist only for export, quadratic evaluation and test oracles.  They are
-laid out by one capped list of colex bitmasks; the exports pack it into
-Python-int column bitmaps, and only the dense routes (``entries``,
-``quadratic_apply``) import numpy.
+exist only for export and test oracles.  They are laid out by one capped
+list of colex bitmasks; the exports pack it into Python-int column
+bitmaps, and only ``entries`` imports numpy.
 """
 
 from __future__ import annotations
@@ -215,16 +214,3 @@ def binomial_identity_sum(n: int, m: int) -> Fraction:
     C(m,j) C(n-m,m-j) subsets meet a fixed one in j elements."""
     _check_order(n, m)
     return _theta(n, m, "psi", 0)
-
-
-def quadratic_apply(form: FormMatrix, t) -> float:
-    """Evaluate the quadratic form t^T F t in the colex basis.
-
-    With ``t = principal_minors_all(A, m)`` and the psi kind this is the quantity
-    whose nonnegativity forces the corresponding Newton margin.
-    """
-    import numpy as np
-    vec = np.asarray(t, dtype=float).ravel()
-    if vec.size != form.dim:
-        raise InputError(f"vector length {vec.size} does not match form dimension {form.dim}")
-    return float(vec @ form.entries @ vec)

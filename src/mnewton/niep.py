@@ -5,8 +5,7 @@ the power-sum comparison s_k^m <= n^(m-1) s_{km} (the JLL condition), the
 Newton inequalities of the Perron-shifted tuple, and the Laffey-Meehan
 test (n-1) s_4 >= s_2^2 for traceless tuples of odd n.  Each condition reports
 pass / fail / not-applicable with the decisive margin and witness; ``screen``
-keys them by name in the report the CLI emits as is.  ``construct_perturbed``
-builds the perturbed ten-tuple in closed form.
+keys them by name in the report the CLI emits as is.
 
 ``screen_many`` validates each spectrum, then runs each condition kernel
 once per size n on a ``(B, n)`` block with one power-sum table
@@ -186,33 +185,3 @@ def screen_many(spectra, moment_k: int = DEFAULT_MOMENT_K,
                     {"moment_k": moment_k, "jll_bound": jll_bound, "tol": tol},
                     all(c.status != FAIL for c in conds))
     return reports
-
-
-# Real 10-tuple with zero first and third moments, positive even moments.
-BASE_TEN_TUPLE = (3.0, 1.0, 1.0, 1.0, 1.0, 1.0, -2.0, -2.0, -2.0, -2.0)
-# Tangent direction solving 9 t1 + t2 + 4 t3 = 0 with positive component sum;
-# one valid choice among many, fixed for reproducibility.  Only t1 and t2
-# are applied: the seventh entry is solved for exactly, with tangent t3.
-PERTURBATION_DIRECTION = (-1.0, 13.0, -1.0)
-_CUBE_SUM_TARGET = 20.0
-
-
-def construct_perturbed(eps: float) -> np.ndarray:
-    """Real 10-tuple with positive first moment and vanishing third moment.
-
-    Moves the first and second entries of the base tuple by ``eps`` times
-    the fixed direction, then sets the seventh entry to the real cube root
-    that restores the cube sum (3+t1)^3 + (1+t2)^3 + x^3 = 20 of the three
-    moved entries (residual <= 1e-13).  This pins the third moment of the
-    full tuple to (numerical) zero while keeping the first positive.  The
-    result passes the moment and shifted-Newton conditions but violates
-    the power-sum comparison at (k, m) = (1, 3).
-    """
-    if not 0.0 < eps <= 1e-2:
-        raise InputError("eps must lie in (0, 1e-2]")
-    t1, t2 = eps * PERTURBATION_DIRECTION[0], eps * PERTURBATION_DIRECTION[1]
-    out = np.array(BASE_TEN_TUPLE)
-    out[0] += t1
-    out[1] += t2
-    out[6] = np.cbrt(_CUBE_SUM_TARGET - (3.0 + t1) ** 3 - (1.0 + t2) ** 3)
-    return out

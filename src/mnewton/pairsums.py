@@ -3,11 +3,12 @@
 The central quantity is ``sum A[alpha] * A[beta]`` over *ordered* pairs of
 index sets with ``|alpha| = m1``, ``|beta| = m2`` and ``|alpha & beta| = k``.
 The ordered-pair convention is what makes the square-expansion identities
-in :func:`expansion_identity_check` come out exactly; it is fixed globally.
+come out exactly: summed over k, the (m, m) sums give C(n,m)^2 c_m^2 and
+the (m+1, m-1) sums C(n,m+1) C(n,m-1) c_{m-1} c_{m+1}, in the normalized
+coefficients c_j.  It is fixed globally.
 
-The split checks and the expansion identity read only the
-:class:`MinorPairSums` they are given; both split forms return a
-:class:`SplitReport`.
+The split checks read only the :class:`MinorPairSums` they are given; both
+split forms return a :class:`SplitReport`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .charcoeff import normalized_coeffs
 from .errors import InputError
 from .linalg import as_matrix, principal_minors_by_mask
 
@@ -165,29 +165,6 @@ def pointwise_check(sums: MinorPairSums, m: int, j: int, tol: float = 1e-9) -> S
         raise InputError(f"need 0 <= j <= m <= n-1, got (m, j) = ({m}, {j}) with n = {n}")
     return _split(m, j, (m - j) * sums.value(m, m, j),
                   (m - j + 1) * sums.value(m + 1, m - 1, j), tol)
-
-
-def expansion_identity_check(sums: MinorPairSums, m: int, tol: float = 1e-9) -> bool:
-    """Verify the two square-expansion identities at index m.
-
-    ``c_m^2`` equals the total (m, m) pair sum over C(n,m)^2, and
-    ``c_{m-1} c_{m+1}`` equals the total (m+1, m-1) pair sum over
-    C(n,m+1) C(n,m-1).  Both are algebraic identities valid for every
-    real matrix; the left sides travel through the eigenvalues and the
-    spectrum recurrence, so this doubles as a cross-route consistency check.
-    """
-    n = sums.n
-    if not 1 <= m <= n - 1:
-        raise InputError(f"need 1 <= m <= n-1, got m = {m} with n = {n}")
-    c = normalized_coeffs(sums.matrix)
-    lhs_sq = c[m] ** 2
-    rhs_sq = float(sums.profile(m, m).sum()) / math.comb(n, m) ** 2
-    lhs_cross = c[m - 1] * c[m + 1]
-    rhs_cross = (float(sums.profile(m + 1, m - 1).sum())
-                 / (math.comb(n, m + 1) * math.comb(n, m - 1)))
-    ok_sq = abs(lhs_sq - rhs_sq) <= tol * max(1.0, abs(lhs_sq), abs(rhs_sq))
-    ok_cross = abs(lhs_cross - rhs_cross) <= tol * max(1.0, abs(lhs_cross), abs(rhs_cross))
-    return ok_sq and ok_cross
 
 
 def feasible_ratio_params(n: int) -> list[tuple[int, int]]:

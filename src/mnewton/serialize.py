@@ -138,15 +138,20 @@ def _rows(form, cells):
                 .to_bytes(len(masks), "little")) for a in masks)
 
 
-def form_to_dict(form) -> dict:
-    return {"n": form.n, "m": form.m, "kind": form.kind,
-            "entries": list(map(list, _rows(form, form.weights)))}
+def form_to_json(form, path) -> None:
+    entries = _Array(list, _rows(form, form.weights))
+    with open(path, "w", encoding="utf-8") as fh:
+        _write({"n": form.n, "m": form.m, "kind": form.kind, "entries": entries}, fh.write, "")
 
 
 def form_to_csv(form, path) -> None:
     rows = _rows(form, [repr(w) for w in form.weights])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.writelines(",".join(row) + "\r\n" for row in rows)
+
+
+class _Array(map):
+    """``_Array(f, items)``: the JSON array ``[f(x) for x in items]``, made as it is written."""
 
 
 def _float(x: float) -> str:
@@ -171,7 +176,7 @@ def _write(o, write, pad: str) -> None:
         write(int.__repr__(o))
     elif isinstance(o, float) and not hasattr(o, "dtype"):   # numpy's float64 is a float
         write(_float(o))
-    elif not isinstance(o, (list, tuple, dict)):
+    elif not isinstance(o, (list, tuple, dict, _Array)):
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
     elif not o:
         write("{}" if isinstance(o, dict) else "[]")
@@ -199,7 +204,7 @@ def _write(o, write, pad: str) -> None:
                 write(sep)
                 _write(v, write, inner)
             sep = ",\n" + inner
-        write("\n" + pad + "]")
+        write("[]" if sep[0] == "[" else "\n" + pad + "]")     # an empty _Array
 
 
 def write_report(report: dict, stream, end: str = "\n") -> None:

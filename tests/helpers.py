@@ -4,8 +4,9 @@ of the Schur-complement tree, brute-force and exact minor sums,
 polynomial roots by a companion matrix,
 exact coefficients of a spectrum, the numpy-scalar conjugate pairing, a
 bitwise array comparison, subset incidence vectors, form eigenvalues
-through Eberlein polynomials, the float64-array form weights, and a
-made-up ``niep-screen`` report entry."""
+through Eberlein polynomials, the float64-array form weights, a
+made-up ``niep-screen`` report entry, the square-expansion identities of the
+pair sums, the perturbed NIEP ten-tuple and the dense quadratic form t^T F t."""
 
 from __future__ import annotations
 
@@ -14,10 +15,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from mnewton.charcoeff import CLOSURE_RTOL, ensure_conjugate_closed
+from mnewton.charcoeff import CLOSURE_RTOL, ensure_conjugate_closed, normalized_coeffs
 from mnewton.errors import InputError
-from mnewton.forms import _lowest_overlap, _weight
+from mnewton.forms import FormMatrix, _lowest_overlap, _weight
 from mnewton.linalg import PIVOT_RTOL, as_matrix, enumerate_subsets, subset_masks
+from mnewton.pairsums import MinorPairSums
 
 # brute-force minor enumeration bound (2^n determinants); override allowed.
 EXHAUSTIVE_MINOR_CAP = 16
@@ -277,3 +279,68 @@ def niep_shaped(i: int) -> dict:
         for name in ("jll", "laffey_meehan", "moments", "newton_shift")},
         "file": f"s{i:05d}.json", "n": 3 + i % 10,
         "params": {"jll_bound": 30, "moment_k": 20, "tol": 1e-09}}
+
+
+def expansion_identity_check(sums: MinorPairSums, m: int, tol: float = 1e-9) -> bool:
+    """Verify the two square-expansion identities at index m.
+
+    ``c_m^2`` equals the total (m, m) pair sum over C(n,m)^2, and
+    ``c_{m-1} c_{m+1}`` equals the total (m+1, m-1) pair sum over
+    C(n,m+1) C(n,m-1).  Both are algebraic identities valid for every
+    real matrix; the left sides travel through the eigenvalues and the
+    spectrum recurrence, so this doubles as a cross-route consistency check.
+    """
+    n = sums.n
+    if not 1 <= m <= n - 1:
+        raise InputError(f"need 1 <= m <= n-1, got m = {m} with n = {n}")
+    c = normalized_coeffs(sums.matrix)
+    lhs_sq = c[m] ** 2
+    rhs_sq = float(sums.profile(m, m).sum()) / math.comb(n, m) ** 2
+    lhs_cross = c[m - 1] * c[m + 1]
+    rhs_cross = (float(sums.profile(m + 1, m - 1).sum())
+                 / (math.comb(n, m + 1) * math.comb(n, m - 1)))
+    ok_sq = abs(lhs_sq - rhs_sq) <= tol * max(1.0, abs(lhs_sq), abs(rhs_sq))
+    ok_cross = abs(lhs_cross - rhs_cross) <= tol * max(1.0, abs(lhs_cross), abs(rhs_cross))
+    return ok_sq and ok_cross
+
+
+# Real 10-tuple with zero first and third moments, positive even moments.
+BASE_TEN_TUPLE = (3.0, 1.0, 1.0, 1.0, 1.0, 1.0, -2.0, -2.0, -2.0, -2.0)
+# Tangent direction solving 9 t1 + t2 + 4 t3 = 0 with positive component sum;
+# one valid choice among many, fixed for reproducibility.  Only t1 and t2
+# are applied: the seventh entry is solved for exactly, with tangent t3.
+PERTURBATION_DIRECTION = (-1.0, 13.0, -1.0)
+_CUBE_SUM_TARGET = 20.0
+
+
+def construct_perturbed(eps: float) -> np.ndarray:
+    """Real 10-tuple with positive first moment and vanishing third moment.
+
+    Moves the first and second entries of the base tuple by ``eps`` times
+    the fixed direction, then sets the seventh entry to the real cube root
+    that restores the cube sum (3+t1)^3 + (1+t2)^3 + x^3 = 20 of the three
+    moved entries (residual <= 1e-13).  This pins the third moment of the
+    full tuple to (numerical) zero while keeping the first positive.  The
+    result passes the moment and shifted-Newton conditions but violates
+    the power-sum comparison at (k, m) = (1, 3).
+    """
+    if not 0.0 < eps <= 1e-2:
+        raise InputError("eps must lie in (0, 1e-2]")
+    t1, t2 = eps * PERTURBATION_DIRECTION[0], eps * PERTURBATION_DIRECTION[1]
+    out = np.array(BASE_TEN_TUPLE)
+    out[0] += t1
+    out[1] += t2
+    out[6] = np.cbrt(_CUBE_SUM_TARGET - (3.0 + t1) ** 3 - (1.0 + t2) ** 3)
+    return out
+
+
+def quadratic_apply(form: FormMatrix, t) -> float:
+    """Evaluate the quadratic form t^T F t in the colex basis.
+
+    With ``t = principal_minors_all(A, m)`` and the psi kind this is the quantity
+    whose nonnegativity forces the corresponding Newton margin.
+    """
+    vec = np.asarray(t, dtype=float).ravel()
+    if vec.size != form.dim:
+        raise InputError(f"vector length {vec.size} does not match form dimension {form.dim}")
+    return float(vec @ form.entries @ vec)

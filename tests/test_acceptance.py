@@ -16,20 +16,18 @@ from mnewton.forms import binomial_identity_sum, build_form
 from mnewton.linalg import binomials, subset_masks
 from mnewton.mclass import GeneratorSpec, generate
 from mnewton.niep import (
-    construct_perturbed,
     moments,
     screen,
 )
 from mnewton.pairsums import (
     MinorPairSums,
-    expansion_identity_check,
     feasible_ratio_params,
     identity_pair_count,
     pointwise_check,
     ratio_check,
 )
 
-from helpers import minor_sums_exhaustive, poly_roots
+from helpers import construct_perturbed, expansion_identity_check, minor_sums_exhaustive, poly_roots
 
 
 def _verdict(num, label, ok, detail=""):

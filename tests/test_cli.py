@@ -10,12 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import niep_shaped
+from helpers import construct_perturbed, niep_shaped
 from mnewton.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, _render_text, main
 from mnewton.forms import build_form
 from mnewton.mclass import GeneratorSpec, generate
-from mnewton.niep import construct_perturbed, screen
-from mnewton.serialize import form_to_dict, matrix_to_dict, spectrum_from_dict
+from mnewton.niep import screen
+from mnewton.serialize import matrix_to_dict, spectrum_from_dict
 
 
 def dumps(report) -> str:
@@ -130,7 +130,9 @@ def test_forms_export_json_is_the_joined_form(capsys, tmp_path):
     target = tmp_path / "psi.json"
     code, _, _ = run(capsys, ["forms", "--n", "10", "--m", "5", "--export-json", str(target)])
     assert code == EXIT_OK
-    assert target.read_bytes() == dumps(form_to_dict(build_form(10, 5, "psi"))).encode()
+    entries = build_form(10, 5, "psi").entries.tolist()
+    ref = {"n": 10, "m": 5, "kind": "psi", "entries": entries}
+    assert target.read_bytes() == dumps(ref).encode()
 
 
 def test_forms_over_dense_cap_reports_but_exports_nothing(capsys, tmp_path):

@@ -18,15 +18,14 @@ from mnewton.forms import (
     binomial_identity_sum,
     build_form,
     psd_check,
-    quadratic_apply,
     structure_checks,
 )
 from mnewton.linalg import principal_minors_all, subset_masks
 from mnewton.mclass import GeneratorSpec, generate
 from mnewton.pairsums import MinorPairSums
-from mnewton.serialize import form_to_csv, form_to_dict
+from mnewton.serialize import form_to_csv, form_to_json
 
-from helpers import eberlein_theta, incidence_matrix, weights_numpy
+from helpers import eberlein_theta, incidence_matrix, quadratic_apply, weights_numpy
 
 
 def test_build_form_psi_2_1():
@@ -73,10 +72,11 @@ def test_dense_builder_caps_every_dense_route(tmp_path):
     f = build_form(15, 6, "psi")
     assert psd_check(f)[0] and structure_checks(15, 6).ok
     for dense in (lambda: f.entries, lambda: quadratic_apply(f, np.ones(f.dim)),
-                  lambda: form_to_dict(f), lambda: form_to_csv(f, tmp_path / "f.csv")):
+                  lambda: form_to_json(f, tmp_path / "f.json"),
+                  lambda: form_to_csv(f, tmp_path / "f.csv")):
         with pytest.raises(InputError, match=r"exceeds cap 5000 .*n <= 64"):
             dense()
-    assert not (tmp_path / "f.csv").exists()
+    assert not (tmp_path / "f.json").exists() and not (tmp_path / "f.csv").exists()
     with pytest.raises(InputError, match="exceeds cap"):
         FormMatrix(30, 15, "psi").entries
 

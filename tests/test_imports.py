@@ -1,6 +1,7 @@
 """numpy loads only for commands that do dense numerics, the numpy-free
-commands load no ``dataclasses`` (nor the ``inspect`` it imports), and every
-lazy package name resolves to its module's object in a fresh interpreter."""
+commands load no ``dataclasses`` (nor the ``inspect`` it imports), ``sfunc``
+loads no coefficient code, and every lazy package name resolves to its
+module's object in a fresh interpreter."""
 
 import os
 import subprocess
@@ -13,8 +14,8 @@ REPORT_MODULES = """
 import sys
 import mnewton, mnewton.cli
 {call}
-print(*sorted({{"numpy", "dataclasses", "inspect", "mnewton.forms"}} & set(sys.modules)),
-      file=sys.stderr)
+watched = {{"numpy", "dataclasses", "inspect", "mnewton.forms", "mnewton.charcoeff"}}
+print(*sorted(watched & set(sys.modules)), file=sys.stderr)
 """
 
 RESOLVE_LAZILY = """
@@ -38,7 +39,8 @@ def _python(code: str, cwd: Path) -> str:
 
 
 def _loaded(call: str, cwd: Path) -> set[str]:
-    """Which of numpy, dataclasses, inspect and mnewton.forms ``call`` leaves loaded."""
+    """Which of numpy, dataclasses, inspect, mnewton.forms and mnewton.charcoeff
+    ``call`` leaves loaded."""
     return set(_python(REPORT_MODULES.format(call=call), cwd).splitlines()[-1].split())
 
 
@@ -53,3 +55,10 @@ def test_exact_commands_and_exports_run_without_numpy(tmp_path):
     loaded = _loaded("mnewton.cli.main(['coeffs', '--spectrum', 'missing.json'])", tmp_path)
     assert "numpy" in loaded and "mnewton.forms" not in loaded
     _python(RESOLVE_LAZILY, tmp_path)
+
+
+def test_split_checks_load_no_coefficient_route(tmp_path):
+    # sfunc reads pair sums only, so it loads no characteristic-coefficient code
+    (tmp_path / "a.json").write_text('{"n": 3, "rows": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]}')
+    loaded = _loaded("mnewton.cli.main(['sfunc', '--input', 'a.json'])", tmp_path)
+    assert "numpy" in loaded and "mnewton.charcoeff" not in loaded

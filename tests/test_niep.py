@@ -12,13 +12,12 @@ from mnewton.niep import (
     FAIL,
     NOT_APPLICABLE,
     PASS,
-    construct_perturbed,
     moments,
     screen,
     screen_many,
 )
 
-from helpers import poly_roots
+from helpers import construct_perturbed, poly_roots
 
 SQRT2 = math.sqrt(2.0)
 

@@ -11,7 +11,6 @@ from mnewton.linalg import principal_minors_all, subset_masks
 from mnewton.mclass import GeneratorSpec, generate
 from mnewton.pairsums import (
     MinorPairSums,
-    expansion_identity_check,
     feasible_pair_params,
     feasible_ratio_params,
     identity_pair_count,
@@ -19,7 +18,7 @@ from mnewton.pairsums import (
     ratio_check,
 )
 
-from helpers import determinant
+from helpers import determinant, expansion_identity_check
 
 
 def dense_profile(minors, m1, m2):

@@ -17,8 +17,9 @@ from helpers import niep_shaped
 from mnewton.errors import InputError
 from mnewton.forms import FORM_KINDS, build_form
 from mnewton.serialize import (
+    _Array,
     form_to_csv,
-    form_to_dict,
+    form_to_json,
     generator_spec_from_dict,
     load_json,
     matrix_from_dict,
@@ -145,7 +146,10 @@ def test_generator_spec_from_dict():
 
 def test_form_exports(tmp_path):
     f = build_form(3, 1, "psi")
-    d = form_to_dict(f)
+    form_to_json(f, tmp_path / "form.json")
+    ref = {"n": 3, "m": 1, "kind": "psi", "entries": f.entries.tolist()}
+    assert (tmp_path / "form.json").read_bytes() == dumps_oracle(ref).encode()
+    d = json.loads((tmp_path / "form.json").read_text())
     assert d["n"] == 3 and d["m"] == 1 and d["kind"] == "psi"
     assert len(d["entries"]) == 3
     path = tmp_path / "form.csv"
@@ -171,7 +175,8 @@ def test_form_exports_match_per_entry_writers(tmp_path):
         form_to_csv(form, got_csv)
         assert got_csv.read_bytes() == ref_csv.read_bytes(), (n, m, kind)
         ref = {"n": n, "m": m, "kind": kind, "entries": entries}
-        assert streamed(form_to_dict(form)) == dumps_oracle(ref) + "\n", (n, m, kind)
+        form_to_json(form, tmp_path / "got.json")
+        assert (tmp_path / "got.json").read_bytes() == dumps_oracle(ref).encode(), (n, m, kind)
     assert b"\r\n" in got_csv.read_bytes()
 
 
@@ -185,6 +190,18 @@ def test_form_csv_export_holds_one_row():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000, peak
+
+
+def test_form_json_export_holds_one_row():
+    # C(11, 5) = 462: the dense rows held at once peak near 2 MB
+    form = build_form(11, 5, "psi")
+    tracemalloc.start()
+    try:
+        form_to_json(form, os.devnull)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000, peak
 
 
 def test_load_json_malformed(tmp_path):
@@ -286,6 +303,20 @@ def test_dumps_report_matches_json_dumps_on_edge_values():
         assert streamed(report) == dumps_oracle(report) + "\n", report
 
 
+def test_lazy_array_renders_as_the_list_it_yields():
+    # the form export's entries: made as written, empty or nested, with json's errors
+    for items in ([], [[]], [1.0, "x", None, [2, 3], {"a": ()}]):
+        assert streamed(_Array(lambda x: x, items), end="") == dumps_oracle(items)
+        assert streamed({"a": _Array(lambda x: x, items)}) == dumps_oracle({"a": items}) + "\n"
+    nested = _Array(lambda x: _Array(float, x), [[1, 2], []])
+    assert streamed({"a": nested}, end="") == dumps_oracle({"a": [[1.0, 2.0], []]})
+    with pytest.raises(TypeError) as want:
+        dumps_oracle([1.0, {1, 2}])
+    with pytest.raises(TypeError) as got:
+        write_report({"a": _Array(lambda x: x, [1.0, {1, 2}])}, io.StringIO())
+    assert str(got.value) == str(want.value)
+
+
 def test_dumps_report_raises_where_json_dumps_does():
     for bad in ({"a": 1, 2: 3}, {None: 1, "b": 2}, {"a": [object()]}, {"a": {"b": {1, 2}}}):
         with pytest.raises(TypeError) as want:
@@ -298,7 +329,7 @@ def test_dumps_report_raises_where_json_dumps_does():
 def test_write_report_accepts_only_plain_values():
     # the CLI handlers convert arrays and report dataclasses; anything else is refused
     for bad in (np.float64(1.5), np.bool_(True), np.int64(3), np.arange(3), Fraction(1, 3),
-                1 + 2j, Point(0.5, ())):
+                1 + 2j, Point(0.5, ()), map(float, [1])):
         with pytest.raises(TypeError) as exc:
             write_report({"a": [1.0, {"b": bad}]}, io.StringIO())
         assert str(exc.value) == f"Object of type {type(bad).__name__} is not JSON serializable"
