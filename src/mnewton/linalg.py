@@ -19,8 +19,6 @@ import numpy as np
 
 from .errors import InputError
 
-# _inverse reads A as singular at a pivot |p| <= PIVOT_RTOL * maxabs(pivot row).
-PIVOT_RTOL = 1e-13
 # the Schur-complement tree does not pivot: it rejects a pivot with
 # |pivot| <= TREE_PIVOT_RTOL * maxabs(pivot row), so an accepted step grows the
 # complement's entries by at most a factor 1 + 1 / TREE_PIVOT_RTOL.
@@ -197,23 +195,23 @@ def _leading_minors(mat: np.ndarray) -> np.ndarray:
 
 
 def _inverse(mat: np.ndarray) -> np.ndarray | None:
-    """inv(A), or None when A is singular: row-pivoted elimination meets a
-    pivot ``|p| <= PIVOT_RTOL * maxabs(pivot row)`` (the last one only if
-    zero), or LAPACK's inverse an exact zero pivot.  No pivot product is
-    formed, so an underflowing det A does not read as singular."""
-    u = mat.copy()
-    for k in range(len(u)):
-        col = np.abs(u[k:, k])
-        r = int(col.argmax())
-        if col[r] <= PIVOT_RTOL * np.abs(u[k + r, k:]).max():
-            return None
-        if r:
-            u[[k, k + r], k:] = u[[k + r, k], k:]
-        u[k + 1:, k + 1:] -= (u[k + 1:, k] / u[k, k])[:, None] * u[k, k + 1:]
+    """LAPACK's inv(A) when its residual proves A nonsingular, else None.
+
+    With R = inv(A), E = |I - fl(RA)| + gamma_{n+2} |R||A| bounds |I - RA|, and
+    rho(E) < 1 proves A nonsingular (Rump 2010).  rho(E) <= max_i (Ex)_i / x_i
+    for x > 0 (Collatz-Wielandt); x is three power steps on E from the ones
+    vector, so the bound follows any diagonal scaling of A.  An inf or NaN, like
+    an exact zero pivot in LAPACK, proves nothing.  The bound is itself evaluated
+    in round-to-nearest.  No det A is formed, so none can underflow."""
     try:
-        return np.linalg.inv(mat)
-    except np.linalg.LinAlgError:       # LAPACK met an exact zero pivot
+        inv = np.linalg.inv(mat)
+    except np.linalg.LinAlgError:
         return None
+    ku = (len(mat) + 2) * 2.0 ** -53            # gamma_{n+2} = ku / (1 - ku)
+    with np.errstate(all="ignore"):
+        e = np.abs(np.eye(len(mat)) - inv @ mat) + ku / (1 - ku) * (np.abs(inv) @ np.abs(mat))
+        x = e @ (e @ (e @ np.ones(len(mat))))
+        return inv if np.max(e @ x / x) < 1.0 else None     # False for inf and NaN
 
 
 def principal_minors_by_mask(a) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Z / P / M / inverse-M classification and seeded generators of these classes.
 
 The M test for Z-matrices uses the classical leading-principal-minor
-characterization, the inverse-M test uses inverse nonnegativity, and the
+characterization, the inverse-M test asks for a Z-matrix inverse, and the
 exhaustive all-minors P test is retained as an oracle for small orders.
 Generators are deterministic functions of a seed so property tests are
 reproducible.
@@ -105,7 +105,7 @@ def classify(a, tol: float = 1e-9) -> MatrixClassReport:
     singular closure: a Z-matrix A is M-singular when A + eps*max|A|*I,
     with eps = SINGULAR_PROBE_SHIFT, passes the leading-minor test.
     ``is_inverse_m`` needs A >= 0 and inv(A) a Z-matrix, with singularity
-    decided by the pivot rule of ``linalg._inverse``, never by underflow.
+    decided by the residual proof of ``linalg._inverse``, never by underflow.
     """
     mat = as_matrix(a)
     n = mat.shape[0]
@@ -211,9 +211,9 @@ def dual_minor_identity_check(a, tol: float = 1e-8) -> bool:
     Holds for every nonsingular matrix; checked exhaustively over the 2^n
     subsets, so the kernel's cap of ``linalg.MINOR_CAP`` = 2^22 minors per
     call limits n to 22.  Returns True iff the worst relative
-    deviation is within ``tol``.  A singular matrix (by the pivot rule of
-    ``linalg._inverse``, as in ``classify``, or a det A of exactly 0.0) or a
-    non-finite deviation (overflow in the minors) raises InputError.
+    deviation is within ``tol``.  A matrix ``linalg._inverse`` does not prove
+    nonsingular (as in ``classify``) or with det A = 0.0, or a non-finite
+    deviation (overflow in the minors), raises InputError.
 
     Both sides, and det A, come from one Schur-complement tree over the
     stack (inv(A), A), indexed by bitmask; the complement of mask S is
@@ -224,7 +224,7 @@ def dual_minor_identity_check(a, tol: float = 1e-8) -> bool:
     inv = _inverse(mat)
     minors = None if inv is None else _minor_tree(np.stack((inv, mat), axis=-1))
     if minors is None or minors[-1, 1] == 0.0:
-        raise InputError("matrix is singular (negligible pivot in elimination)")
+        raise InputError("matrix is singular (inv(A) not proved by its residual, or det A = 0.0)")
     lhs, rhs = minors[:, 0], minors[::-1, 1] / minors[-1, 1]
     dev = np.abs(lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     if not np.all(np.isfinite(dev)):

@@ -18,11 +18,13 @@ import numpy as np
 from mnewton.charcoeff import CLOSURE_RTOL, ensure_conjugate_closed, normalized_coeffs
 from mnewton.errors import InputError
 from mnewton.forms import FormMatrix, _lowest_overlap, _weight
-from mnewton.linalg import PIVOT_RTOL, as_matrix, enumerate_subsets, subset_masks
+from mnewton.linalg import as_matrix, enumerate_subsets, subset_masks
 from mnewton.pairsums import MinorPairSums
 
 # brute-force minor enumeration bound (2^n determinants); override allowed.
 EXHAUSTIVE_MINOR_CAP = 16
+# the determinant oracle reads a pivot |p| <= DET_PIVOT_RTOL * maxabs(pivot row) as zero
+DET_PIVOT_RTOL = 1e-13
 
 
 def determinant(a) -> float:
@@ -43,7 +45,7 @@ def determinant(a) -> float:
     for k in range(n - 1):
         col = np.abs(u[k:, k])
         r = int(col.argmax())
-        if col[r] <= PIVOT_RTOL * np.abs(u[k + r, k:]).max():
+        if col[r] <= DET_PIVOT_RTOL * np.abs(u[k + r, k:]).max():
             return 0.0
         if r:
             u[[k, k + r], k:] = u[[k + r, k], k:]

@@ -238,6 +238,59 @@ def test_inverse_m_verdict_scale_invariant():
                 assert classify(s * a).is_inverse_m == want, (kind, n, s)
 
 
+def _rank_one_nonnegative():
+    rng = np.random.default_rng(22)
+    return rng.uniform(0, 1, (2, 1)) @ rng.uniform(0, 1, (1, 2))
+
+
+def _wide_range_inverse_m(n, seed, w):
+    # D1 N D2 with N = inv(M) and positive diagonal D1, D2 is inverse-M by construction
+    rng = np.random.default_rng([n, seed, w])
+    inv_m = np.linalg.inv(generate(GeneratorSpec("M", n, seed)))
+    d1 = 10.0 ** rng.uniform(-w, w, n)
+    d2 = 10.0 ** rng.uniform(-w, w, n)
+    return d1[:, None] * inv_m * d2[None, :]
+
+
+WIDE_RANGE_INVERSE_M = [(4, 8, 8), (6, 0, 8), (8, 0, 8)]
+
+
+def test_rank_one_nonnegative_is_not_inverse_m():
+    # LAPACK's LU meets no exact zero pivot here, so only the residual of
+    # its inverse shows that A is singular, as its own witness minor says
+    rep = classify(_rank_one_nonnegative())
+    assert ((1, 2), 0.0) in rep.witnesses
+    assert not rep.is_inverse_m
+
+
+@pytest.mark.parametrize("n, seed, w", WIDE_RANGE_INVERSE_M)
+def test_wide_range_inverse_m_is_proved_nonsingular(n, seed, w):
+    a = _wide_range_inverse_m(n, seed, w)
+    assert classify(a).is_inverse_m
+    assert dual_minor_identity_check(a)
+
+
+def test_inverse_m_verdict_transpose_invariant():
+    # inv(A^T) = inv(A)^T, so A is inverse-M iff A^T is
+    cases = [_rank_one_nonnegative()]
+    cases += [_wide_range_inverse_m(*c) for c in WIDE_RANGE_INVERSE_M]
+    cases += [generate(GeneratorSpec(kind, n, seed))
+              for kind in GENERATOR_KINDS for n in (2, 5, 9, 16) for seed in range(3)]
+    for a in cases:
+        assert classify(a).is_inverse_m == classify(a.T).is_inverse_m, a
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 17: inv(A)'s signs are judged "
+                   "against tol * max|inv(A)|, which diagonal scaling moves")
+def test_inverse_m_verdict_survives_diagonal_scaling_of_a_non_inverse_m():
+    # inv(A) of this nonnegative circulant has three positive off-diagonal
+    # entries, and D1 A D2 keeps those signs; scaled, they fall below 1e-9 * max|inv|
+    a = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
+    d1, d2 = 10.0 ** np.array([0.0, -10.0, 10.0]), 10.0 ** np.array([-10.0, 0.0, 10.0])
+    assert not classify(a).is_inverse_m
+    assert not classify(d1[:, None] * a * d2[None, :]).is_inverse_m
+
+
 def test_generate_singular_m_is_near_singular_z():
     for seed in range(25):
         n = 2 + seed % 7
@@ -431,8 +484,8 @@ def test_dual_minor_identity_reaches_order_twenty_one():
 
 
 def test_dual_minor_identity_singular_inverse_is_input_error():
-    # row-pivoted elimination keeps every pivot (their product is -3.5e-11),
-    # while LAPACK's inverse meets an exact zero pivot
+    # a generated singular-M matrix on which LAPACK's inverse meets an exact
+    # zero pivot, so there is no inverse whose residual could be tested
     a = generate(GeneratorSpec("singular-M", 9, 383480188))
     with pytest.raises(InputError, match="matrix is singular"):
         dual_minor_identity_check(a)
